@@ -4,12 +4,10 @@ from .analytics import (BandwidthParams, ModelReport, aggregate_bandwidth,
                         bandwidth_per_rank, hit_miss_on_demand,
                         miss_probability, model_report, top_c_mass,
                         top_c_mass_asymptotic)
-from .cache import (POLICIES, AccessOutcome, CacheState, LruCache,
-                    SessionBuffer, make_policy, new_cache, process_session,
-                    run_policy)
+from .cache import POLICIES, CacheState, LruCache, make_policy
 from .popularity import (ComplexExponent, ZipfCatalog, build_catalog,
                          generalized_harmonic, power_modulus, probability,
-                         sample_rank, sample_ranks, zeta_partial_terms)
+                         sample_ranks, zeta_partial_terms)
 from .simulator import (DEFAULT_ALPHAS, CapacityComparison, SimConfig,
                         SimReport, compare_analytic, fit_power_law,
                         run_simulation, simulate_workload, sweep)
@@ -20,16 +18,14 @@ from .workload import (ObjectAttributes, TraceParseError, Workload,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessOutcome", "BandwidthParams", "CacheState", "CapacityComparison",
-    "ComplexExponent", "DEFAULT_ALPHAS", "LruCache", "ModelReport",
-    "ObjectAttributes", "POLICIES", "SessionBuffer", "SimConfig", "SimReport",
-    "TraceParseError", "Workload", "ZipfCatalog", "aggregate_bandwidth",
-    "assign_attributes", "bandwidth_per_rank", "build_catalog",
-    "compare_analytic", "fit_power_law", "generalized_harmonic",
-    "generate_workload", "hit_miss_on_demand", "load_trace", "make_policy",
-    "miss_probability", "model_report", "new_cache", "power_modulus",
-    "probability", "process_session", "rank_histogram", "run_policy",
-    "run_simulation", "sample_rank", "sample_ranks", "save_trace",
-    "simulate_workload", "sweep", "top_c_mass", "top_c_mass_asymptotic",
-    "zeta_partial_terms",
+    "BandwidthParams", "CacheState", "CapacityComparison", "ComplexExponent",
+    "DEFAULT_ALPHAS", "LruCache", "ModelReport", "ObjectAttributes",
+    "POLICIES", "SimConfig", "SimReport", "TraceParseError", "Workload",
+    "ZipfCatalog", "aggregate_bandwidth", "assign_attributes",
+    "bandwidth_per_rank", "build_catalog", "compare_analytic",
+    "fit_power_law", "generalized_harmonic", "generate_workload",
+    "hit_miss_on_demand", "load_trace", "make_policy", "miss_probability",
+    "model_report", "power_modulus", "probability", "rank_histogram",
+    "run_simulation", "sample_ranks", "save_trace", "simulate_workload",
+    "sweep", "top_c_mass", "top_c_mass_asymptotic", "zeta_partial_terms",
 ]

@@ -32,17 +32,18 @@ class BandwidthParams:
         figure.
     cache_capacity : int
         Capacity ``C`` whose top-rank mass weights the demand.
-    mode : str
-        Asymptotic variant for the top-C mass, ``"paper_literal"`` or
-        ``"corrected"``.
     rate_convention : str
         Per-rank rate ``b_i``: ``"product"`` for ``s_i * t_i`` or
         ``"ratio"`` for ``s_i / t_i``.
+
+    This is the one place ``k`` and ``rate_convention`` are validated;
+    :class:`~proxysim.simulator.SimConfig` and
+    :func:`~proxysim.simulator.simulate_workload` build one to check
+    them.
     """
 
     k: float
     cache_capacity: int
-    mode: str = "corrected"
     rate_convention: str = "product"
 
     def __post_init__(self) -> None:
@@ -51,13 +52,17 @@ class BandwidthParams:
         if self.cache_capacity < 1:
             raise ValueError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity}")
-        if self.mode not in ASYMPTOTIC_MODES:
-            raise ValueError(
-                f"mode must be one of {ASYMPTOTIC_MODES}, got {self.mode!r}")
         if self.rate_convention not in RATE_CONVENTIONS:
             raise ValueError(
                 f"rate_convention must be one of {RATE_CONVENTIONS}, "
                 f"got {self.rate_convention!r}")
+
+
+def per_rank_rate(sizes, channel_times, rate_convention: str):
+    """Per-rank rate ``b_i``: ``s_i * t_i`` for ``"product"``, else
+    ``s_i / t_i``. Works on scalars and arrays alike."""
+    return (sizes * channel_times if rate_convention == "product"
+            else sizes / channel_times)
 
 
 @dataclass(frozen=True)
@@ -159,9 +164,9 @@ def bandwidth_per_rank(rank: int, attributes: ObjectAttributes,
     if not 1 <= rank <= catalog.n_objects:
         raise ValueError(
             f"rank {rank} outside catalog of {catalog.n_objects} objects")
-    s = float(attributes.sizes[rank - 1])
-    t = float(attributes.channel_times[rank - 1])
-    b = s * t if params.rate_convention == "product" else s / t
+    b = per_rank_rate(float(attributes.sizes[rank - 1]),
+                      float(attributes.channel_times[rank - 1]),
+                      params.rate_convention)
     return params.k * top_c_mass(catalog, params.cache_capacity) * b
 
 
@@ -176,9 +181,9 @@ def aggregate_bandwidth(attributes: ObjectAttributes,
     if not 1 <= n_ranks <= catalog.n_objects:
         raise ValueError(
             f"n_ranks must be in 1..{catalog.n_objects}, got {n_ranks}")
-    s = attributes.sizes[:n_ranks]
-    t = attributes.channel_times[:n_ranks]
-    b = s * t if params.rate_convention == "product" else s / t
+    b = per_rank_rate(attributes.sizes[:n_ranks],
+                      attributes.channel_times[:n_ranks],
+                      params.rate_convention)
     mass = top_c_mass(catalog, params.cache_capacity)
     return float(params.k * mass * b.sum())
 
@@ -209,9 +214,8 @@ def model_report(catalog: ZipfCatalog, attributes: ObjectAttributes,
     p = catalog.probabilities
     per_rank_miss = np.power(1.0 - p, r_requests)
     mass = top_c_mass(catalog, params.cache_capacity)
-    b = (attributes.sizes[:n] * attributes.channel_times[:n]
-         if params.rate_convention == "product"
-         else attributes.sizes[:n] / attributes.channel_times[:n])
+    b = per_rank_rate(attributes.sizes[:n], attributes.channel_times[:n],
+                      params.rate_convention)
     per_rank_bandwidth = params.k * mass * b
     return ModelReport(
         per_rank_miss=per_rank_miss,

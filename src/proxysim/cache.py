@@ -1,67 +1,54 @@
 """Bounded cache with session-initiative least-frequently-used eviction.
 
-Requests arrive buffered in sessions and are replayed against the cache
-in order. A hit bumps the object's access count; a miss on a full cache
-evicts the resident entry with the lowest count, breaking ties toward
-the oldest insertion. Counts belong to objects, not residencies: an
-object evicted and later re-admitted resumes from its accumulated count,
-so sustained popularity wins out over recency of insertion. Two baseline
-policies (plain LRU and per-request LFU) share the driver interface.
+Requests are replayed against the cache in order. A hit bumps the
+object's access count; a miss on a full cache evicts the resident entry
+with the lowest count, breaking ties toward the oldest insertion. Counts
+belong to objects, not residencies: an object evicted and later
+re-admitted resumes from its accumulated count, so sustained popularity
+wins out over recency of insertion. The policy names ``session_lfu``
+and ``lfu_classic`` both select this cache: the state depends only on
+request order, so sessions are bookkeeping. Plain LRU is the recency
+baseline with the same access interface.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import NamedTuple
-
-from .workload import Workload
 
 POLICIES = ("session_lfu", "lru", "lfu_classic")
-
-
-class AccessOutcome(NamedTuple):
-    rank: int
-    hit: bool
-    evicted: int | None = None
-
-
-@dataclass
-class SessionBuffer:
-    """Requests staged for one session; emptied once processed."""
-
-    pending: list[int]
-    capacity: int
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"buffer capacity must be >= 1, "
-                             f"got {self.capacity}")
-        if len(self.pending) > self.capacity:
-            raise ValueError(
-                f"{len(self.pending)} pending requests exceed buffer "
-                f"capacity {self.capacity}")
 
 
 class CacheState:
     """Frequency-ordered cache of at most ``capacity`` objects.
 
     Eviction picks the resident entry with the smallest
-    ``(hit_count, insertion_seq)`` pair. The victim search uses a
+    ``(access_count, insertion_seq)`` pair. The victim search uses a
     lazy-deletion heap: stale heap tuples are dropped or refreshed when
     popped, which keeps misses at amortized O(log C) while choosing
     exactly the entry a full scan would.
+
+    ``warm`` pre-populates the cache with at most ``capacity`` distinct
+    ranks, admitted at count 0 in ascending insertion order without
+    counting an access.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, warm=()):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.next_seq = 0
         self._counts: dict[int, int] = {}     # per object, survives eviction
         self._resident: dict[int, int] = {}   # rank -> insertion_seq
         self._heap: list[tuple[int, int, int]] = []
+        for seq, rank in enumerate(warm):
+            if rank in self._resident:
+                raise ValueError(f"duplicate rank {rank} in warm list")
+            if seq >= capacity:
+                raise ValueError(f"warm list exceeds capacity {capacity}")
+            self._counts[rank] = 0
+            self._resident[rank] = seq
+            self._heap.append((0, seq, rank))  # ascending keys: a valid heap
+        self.next_seq = len(self._resident)
 
     def __contains__(self, rank: int) -> bool:
         return rank in self._resident
@@ -71,28 +58,8 @@ class CacheState:
 
     @property
     def entries(self) -> dict[int, tuple[int, int]]:
-        """Resident ranks mapped to (hit_count, insertion_seq)."""
+        """Resident ranks mapped to (access_count, insertion_seq)."""
         return {r: (self._counts[r], q) for r, q in self._resident.items()}
-
-    def hit_count(self, rank: int) -> int:
-        """Accumulated access count of ``rank`` (0 if never seen)."""
-        return self._counts.get(rank, 0)
-
-    def warm(self, ranks) -> None:
-        """Admit ``ranks`` at count 0 without counting an access."""
-        seen = set()
-        for rank in ranks:
-            if rank in seen:
-                raise ValueError(f"duplicate rank {rank} in warm list")
-            seen.add(rank)
-            if len(self._resident) >= self.capacity:
-                raise ValueError(
-                    f"warm list exceeds capacity {self.capacity}")
-            self._counts.setdefault(rank, 0)
-            q = self.next_seq
-            self.next_seq = q + 1
-            self._resident[rank] = q
-            heappush(self._heap, (self._counts[rank], q, rank))
 
     def access(self, rank: int) -> tuple[bool, int | None]:
         """Apply one request; returns (hit, evicted_rank_or_None)."""
@@ -152,36 +119,6 @@ class LruCache:
         return False, evicted
 
 
-def new_cache(capacity: int, warm_list=None) -> CacheState:
-    """Create a cache, optionally pre-populated with ``warm_list`` ranks.
-
-    Warm entries carry hit_count 0 and ascending insertion order. The
-    warm list must hold at most ``capacity`` distinct ranks.
-    """
-    cache = CacheState(capacity)
-    if warm_list:
-        cache.warm(warm_list)
-    return cache
-
-
-def process_session(cache: CacheState, buffer: SessionBuffer) -> list[AccessOutcome]:
-    """Replay one session's buffered requests against the cache.
-
-    The buffer is flushed afterwards; the resulting cache state depends
-    only on the request order, not on the buffer's capacity.
-    """
-    if not buffer.pending:
-        raise ValueError("session buffer is empty")
-    outcomes = []
-    for rank in buffer.pending:
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        hit, evicted = cache.access(rank)
-        outcomes.append(AccessOutcome(rank, hit, evicted))
-    buffer.pending.clear()
-    return outcomes
-
-
 def make_policy(policy: str, capacity: int):
     """Instantiate the cache object behind a policy name."""
     if policy == "lru":
@@ -190,21 +127,3 @@ def make_policy(policy: str, capacity: int):
         return CacheState(capacity)
     raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
 
-
-def run_policy(policy: str, capacity: int, workload: Workload) -> list[AccessOutcome]:
-    """Run a whole workload under ``policy`` and return every outcome.
-
-    ``session_lfu`` feeds each session through :func:`process_session`;
-    ``lfu_classic`` is the same replacement scheme applied request by
-    request (a session size of 1); ``lru`` is the recency baseline.
-    """
-    cache = make_policy(policy, capacity)
-    if policy == "session_lfu":
-        outcomes: list[AccessOutcome] = []
-        for session in workload.sessions():
-            buf = SessionBuffer(pending=[int(r) for r in session],
-                                capacity=max(len(session), 1))
-            outcomes.extend(process_session(cache, buf))
-        return outcomes
-    return [AccessOutcome(r, *cache.access(r))
-            for r in (int(x) for x in workload.requests)]

@@ -195,6 +195,17 @@ def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
     sub.set_defaults(**defaults)
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The ``--config`` value, given as ``--config PATH`` or
+    ``--config=PATH``; the file must be read before parsing."""
+    for i, arg in enumerate(argv):
+        if arg == "--config" and i + 1 < len(argv):
+            return argv[i + 1]
+        if arg.startswith("--config="):
+            return arg.split("=", 1)[1]
+    return None
+
+
 def _require(sub: argparse.ArgumentParser, args: argparse.Namespace,
              *names: str) -> None:
     for name in names:
@@ -348,10 +359,9 @@ def main(argv=None) -> int:
     command = next((a for a in argv if not a.startswith("-")), None)
     try:
         sub = subparsers.get(command) if command else None
-        if sub is not None and "--config" in argv:
-            index = argv.index("--config")
-            if index + 1 < len(argv):
-                _apply_config_file(sub, argv[index + 1])
+        config_path = _config_path(argv)
+        if sub is not None and config_path is not None:
+            _apply_config_file(sub, config_path)
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)

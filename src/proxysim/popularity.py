@@ -140,22 +140,15 @@ def probability(catalog: ZipfCatalog, rank: int) -> float:
     return float(catalog.probabilities[rank - 1])
 
 
-def sample_rank(catalog: ZipfCatalog, rng: np.random.Generator) -> int:
-    """Draw one rank from the catalog distribution.
-
-    Inverse-CDF sampling: one uniform draw located in the precomputed
-    cumulative array by binary search. Deterministic for a seeded ``rng``.
-    """
-    return int(np.searchsorted(catalog._cdf, rng.random(), side="right")) + 1
-
-
 def sample_ranks(
     catalog: ZipfCatalog, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``size`` i.i.d. ranks; the bulk form of :func:`sample_rank`.
+    """Draw ``size`` i.i.d. ranks from the catalog distribution.
 
-    Consumes the stream exactly as ``size`` single draws would, so bulk
-    and one-at-a-time sampling agree element for element on a shared seed.
+    Inverse-CDF sampling: each uniform draw is located in the precomputed
+    cumulative array by binary search. Consumes the stream exactly as
+    ``size`` single draws would, so bulk and one-at-a-time sampling agree
+    element for element on a shared seed.
     """
     u = rng.random(size)
     return np.searchsorted(catalog._cdf, u, side="right").astype(np.int64) + 1

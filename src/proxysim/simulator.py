@@ -11,14 +11,13 @@ top-rank mass they should track.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
-from .analytics import BandwidthParams, aggregate_bandwidth, top_c_mass
+from .analytics import (BandwidthParams, aggregate_bandwidth, per_rank_rate,
+                        top_c_mass)
 from .cache import POLICIES, make_policy
 from .popularity import ZipfCatalog, build_catalog
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
@@ -66,15 +65,10 @@ class SimConfig:
         for a in self.alphas:
             if a < 0:
                 raise ValueError(f"alpha must be >= 0, got {a}")
+        if not self.capacities:
+            raise ValueError("cache_capacity list must be non-empty")
         for c in self.capacities:
-            if c < 1:
-                raise ValueError(f"cache_capacity must be >= 1, got {c}")
-        if not 0.0 <= self.k <= 1.0:
-            raise ValueError(f"k must be in [0, 1], got {self.k}")
-        if self.rate_convention not in ("product", "ratio"):
-            raise ValueError(
-                f"rate_convention must be product or ratio, "
-                f"got {self.rate_convention!r}")
+            BandwidthParams(self.k, c, self.rate_convention)
 
     @property
     def alphas(self) -> tuple[float, ...]:
@@ -106,7 +100,6 @@ class SimReport:
     miss_ratio: float
     total_bandwidth: float
     config: dict
-    elapsed: float
 
 
 class CapacityComparison(NamedTuple):
@@ -165,7 +158,7 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
     The building block behind :func:`run_simulation`, also used when a
     workload comes from a trace file instead of a seed.
     """
-    t0 = time.perf_counter()
+    BandwidthParams(k, capacity, rate_convention)
     cache = make_policy(policy, capacity)
     access = cache.access
     flags = np.fromiter((access(r)[0] for r in workload.requests.tolist()),
@@ -174,9 +167,8 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
     requests = np.bincount(workload.requests, minlength=n + 1)[1:]
     hits = np.bincount(workload.requests[flags], minlength=n + 1)[1:]
     misses = requests - hits
-    b = (attrs.sizes * attrs.channel_times if rate_convention == "product"
-         else attrs.sizes / attrs.channel_times)
-    imported = k * misses * b
+    imported = k * misses * per_rank_rate(attrs.sizes, attrs.channel_times,
+                                          rate_convention)
     total = workload.total_requests
     hit_ratio = float(hits.sum()) / total
     return SimReport(
@@ -188,7 +180,6 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
         miss_ratio=1.0 - hit_ratio,
         total_bandwidth=float(imported.sum()),
         config=config_echo,
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -237,11 +228,13 @@ def compare_analytic(config: SimConfig) -> list[CapacityComparison]:
     if isinstance(config.alpha, (tuple, list)):
         raise ValueError("compare_analytic needs a scalar alpha")
     alpha = config.alphas[0]
+    catalog, workload, attrs, derived = _build_inputs(config, alpha)
     rows = []
     for capacity in config.capacities:
-        point = replace(config, cache_capacity=capacity)
-        report = run_simulation(point)
-        catalog, _, attrs, _ = _build_inputs(point, alpha)
+        report = simulate_workload(
+            workload, attrs, capacity, config.policy, config.k,
+            config.rate_convention,
+            _config_echo(config, alpha, capacity, derived))
         mass = top_c_mass(catalog, capacity)
         model = {
             conv: aggregate_bandwidth(
@@ -285,9 +278,15 @@ def fit_power_law(counts, max_rank: int) -> tuple[float, float]:
         raise ValueError(
             f"need at least 3 positive counts in ranks 1..{upper}, "
             f"got {int(usable.sum())}")
-    fit = stats.linregress(np.log(ranks[usable]), np.log(y[usable]))
-    r_squared = 1.0 if np.isnan(fit.rvalue) else float(fit.rvalue) ** 2
-    return float(fit.slope), r_squared
+    x = np.log(ranks[usable])
+    y = np.log(y[usable])
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx, sxy, syy = dx @ dx, dx @ dy, dy @ dy
+    slope = sxy / sxx
+    # Constant counts leave no variance to explain: the flat fit is exact.
+    r_squared = 1.0 if syy == 0 else min(sxy * sxy / (sxx * syy), 1.0)
+    return float(slope), float(r_squared)
 
 
 def write_report_csv(report: SimReport, path: str) -> None:

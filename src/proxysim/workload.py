@@ -1,12 +1,13 @@
-"""Session-partitioned request streams drawn from a popularity catalog.
+"""Request streams drawn from a popularity catalog.
 
-A workload is a fixed request sequence split into consecutive sessions,
+A workload is a fixed request sequence with a nominal session size,
 plus per-object size and channel-time attributes used by the bandwidth
 accounting. Traces round-trip through a one-rank-per-line text format.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,16 +33,17 @@ class ObjectAttributes:
 
 @dataclass(frozen=True)
 class Workload:
-    """Request sequence with session boundaries.
+    """Request sequence with its nominal session size.
 
-    ``session_boundaries`` holds the exclusive end index of each session
-    in ascending order; the last boundary equals the request count.
-    ``seed`` records the generating seed, 0 for workloads loaded from a
-    trace file.
+    Sessions are consecutive blocks of ``session_size`` requests, the
+    last possibly shorter. They are bookkeeping only: no cache policy
+    depends on them, and the size is echoed into traces and reports as
+    given. ``seed`` records the generating seed, 0 for workloads loaded
+    from a trace file.
     """
 
     requests: np.ndarray
-    session_boundaries: np.ndarray
+    session_size: int
     seed: int
     n_objects: int
 
@@ -49,38 +51,19 @@ class Workload:
     def total_requests(self) -> int:
         return int(self.requests.size)
 
-    @property
-    def session_size(self) -> int:
-        return int(self.session_boundaries[0])
-
-    def sessions(self):
-        """Yield each session's requests as a read-only slice."""
-        start = 0
-        for end in self.session_boundaries:
-            yield self.requests[start:end]
-            start = int(end)
-
 
 def generate_workload(
     catalog: ZipfCatalog, total_requests: int, session_size: int, seed: int
 ) -> Workload:
-    """Draw ``total_requests`` i.i.d. ranks and split them into sessions.
-
-    Sessions are consecutive blocks of ``session_size`` requests; the
-    final session may be shorter. Deterministic per seed.
-    """
+    """Draw ``total_requests`` i.i.d. ranks; deterministic per seed."""
     if total_requests < 1:
         raise ValueError(f"total_requests must be >= 1, got {total_requests}")
     if session_size < 1:
         raise ValueError(f"session_size must be >= 1, got {session_size}")
     rng = np.random.default_rng(seed)
-    requests = sample_ranks(catalog, total_requests, rng)
-    boundaries = np.arange(session_size, total_requests, session_size,
-                           dtype=np.int64)
-    boundaries = np.append(boundaries, total_requests)
     return Workload(
-        requests=requests,
-        session_boundaries=boundaries,
+        requests=sample_ranks(catalog, total_requests, rng),
+        session_size=int(session_size),
         seed=int(seed),
         n_objects=catalog.n_objects,
     )
@@ -99,8 +82,8 @@ def assign_attributes(
     n_objects : int
         Number of ranks to cover.
     size_range, time_range : (float, float)
-        Inclusive bounds; lower bound must be positive and not exceed
-        the upper bound. Degenerate ranges like ``(5, 5)`` are allowed.
+        Inclusive finite bounds; lower bound must be positive and not
+        exceed the upper bound. Degenerate ranges like ``(5, 5)`` are allowed.
     seed : int
         Seed for the attribute stream; same seed, same table.
     """
@@ -108,6 +91,8 @@ def assign_attributes(
         raise ValueError(f"n_objects must be >= 1, got {n_objects}")
     for name, (lo, hi) in (("size_range", size_range),
                            ("time_range", time_range)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} bounds must be finite, got [{lo}, {hi}]")
         if lo <= 0:
             raise ValueError(f"{name} lower bound must be > 0, got {lo}")
         if lo > hi:
@@ -142,8 +127,9 @@ def load_trace(path: str) -> Workload:
     Raises
     ------
     TraceParseError
-        On a missing or malformed header, a non-integer or non-positive
-        rank, or a rank beyond the declared catalog size; the message
+        On a missing or malformed header, a rank that is not a plain
+        ASCII decimal integer (``int()`` alone would take ``1_0`` or
+        non-ASCII digits), a non-positive rank, or a rank beyond the declared catalog size; the message
         names the offending line number. An empty file is an error.
     """
     with open(path) as f:
@@ -168,6 +154,8 @@ def load_trace(path: str) -> Workload:
         if not line.strip():
             continue
         try:
+            if "_" in line or not line.isascii():
+                raise ValueError
             rank = int(line)
         except ValueError:
             raise TraceParseError(
@@ -183,12 +171,9 @@ def load_trace(path: str) -> Workload:
     if not requests:
         raise TraceParseError(f"{path}: no requests in trace")
 
-    total = len(requests)
-    boundaries = np.arange(session_size, total, session_size, dtype=np.int64)
-    boundaries = np.append(boundaries, total)
     return Workload(
         requests=np.asarray(requests, dtype=np.int64),
-        session_boundaries=boundaries,
+        session_size=session_size,
         seed=0,
         n_objects=n_objects,
     )

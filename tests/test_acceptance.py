@@ -14,7 +14,7 @@ import numpy as np
 from scipy import stats
 
 from proxysim.analytics import top_c_mass
-from proxysim.cache import make_policy, new_cache
+from proxysim.cache import CacheState, make_policy
 from proxysim.cli import main as cli_main
 from proxysim.popularity import (ComplexExponent, build_catalog,
                                  zeta_partial_terms)
@@ -90,7 +90,7 @@ def test_criterion_3_oracle_equivalence():
         n = int(rng.integers(1, 9))
         total = int(rng.integers(1, 51))
         ranks = rng.integers(1, n + 1, size=total).tolist()
-        cache = new_cache(capacity)
+        cache = CacheState(capacity)
         ref = _Reference(capacity)
         for r in ranks:
             if cache.access(r) != ref.access(r):

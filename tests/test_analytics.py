@@ -177,8 +177,6 @@ def test_params_validation():
         BandwidthParams(k=0.5, cache_capacity=0)
     with pytest.raises(ValueError):
         BandwidthParams(k=0.5, cache_capacity=10, rate_convention="speed")
-    with pytest.raises(ValueError):
-        BandwidthParams(k=0.5, cache_capacity=10, mode="guessed")
 
 
 def test_model_report_fields_and_ranges():

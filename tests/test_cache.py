@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from proxysim.cache import (AccessOutcome, SessionBuffer, make_policy,
-                            new_cache, process_session, run_policy)
+from proxysim.cache import CacheState, make_policy
 from proxysim.popularity import build_catalog
-from proxysim.workload import Workload, generate_workload
+from proxysim.simulator import simulate_workload
+from proxysim.workload import Workload, assign_attributes, generate_workload
 
 
 class ReferenceCache:
@@ -44,8 +44,16 @@ def _outcomes(cache, ranks):
     return [cache.access(r) for r in ranks]
 
 
+def _replay(policy, capacity, workload):
+    """Per-rank request and hit tallies of one ``simulate_workload`` run."""
+    attrs = assign_attributes(workload.n_objects, seed=0)
+    report = simulate_workload(workload, attrs, capacity, policy, 1.0,
+                               "product", {})
+    return report.requests.tolist(), report.hits.tolist()
+
+
 def test_new_cache_warm_list():
-    cache = new_cache(2, [1, 2])
+    cache = CacheState(2, warm=[1, 2])
     entries = cache.entries
     assert set(entries) == {1, 2}
     assert entries[1][0] == 0 and entries[2][0] == 0
@@ -54,128 +62,89 @@ def test_new_cache_warm_list():
 
 def test_new_cache_rejects_overflow_and_duplicates():
     with pytest.raises(ValueError):
-        new_cache(2, [1, 2, 3])
+        CacheState(2, warm=[1, 2, 3])
     with pytest.raises(ValueError):
-        new_cache(3, [1, 1])
+        CacheState(3, warm=[1, 1])
     with pytest.raises(ValueError):
-        new_cache(0)
+        CacheState(0)
 
 
 def test_new_cache_empty_default():
-    cache = new_cache(3)
+    cache = CacheState(3)
     assert len(cache) == 0
     assert cache.entries == {}
 
 
 def test_session_hand_trace_hit_then_evict():
-    # warm A=1,B=2 at count 0; session [A, C, A]
-    cache = new_cache(2, [1, 2])
-    buf = SessionBuffer(pending=[1, 3, 1], capacity=5)
-    out = process_session(cache, buf)
-    assert out == [AccessOutcome(1, True, None),
-                   AccessOutcome(3, False, 2),
-                   AccessOutcome(1, True, None)]
+    # warm A=1,B=2 at count 0; requests [A, C, A]
+    cache = CacheState(2, warm=[1, 2])
+    out = _outcomes(cache, [1, 3, 1])
+    assert out == [(True, None), (False, 2), (True, None)]
     assert cache.entries[1][0] == 2
     assert cache.entries[3][0] == 1
     assert 2 not in cache
-    assert buf.pending == []
 
 
 def test_session_hand_trace_tie_breaks_oldest():
     # both warm entries at count 0: the older insertion loses
-    cache = new_cache(2, [1, 2])
-    out = process_session(cache, SessionBuffer(pending=[3], capacity=1))
-    assert out == [AccessOutcome(3, False, 1)]
+    cache = CacheState(2, warm=[1, 2])
+    assert cache.access(3) == (False, 1)
 
 
 def test_session_hand_trace_cold_start():
-    cache = new_cache(3)
-    out = process_session(cache, SessionBuffer(pending=[5, 5, 5], capacity=3))
-    assert [o.hit for o in out] == [False, True, True]
-    assert out[0].evicted is None
+    cache = CacheState(3)
+    out = _outcomes(cache, [5, 5, 5])
+    assert out == [(False, None), (True, None), (True, None)]
     assert cache.entries[5][0] == 3
 
 
-def test_process_session_rejects_bad_buffers():
-    cache = new_cache(2)
-    with pytest.raises(ValueError):
-        process_session(cache, SessionBuffer(pending=[], capacity=3))
-    with pytest.raises(ValueError):
-        process_session(cache, SessionBuffer(pending=[0], capacity=3))
-
-
-def test_session_buffer_capacity_invariant():
-    with pytest.raises(ValueError):
-        SessionBuffer(pending=[1, 2, 3], capacity=2)
-    with pytest.raises(ValueError):
-        SessionBuffer(pending=[1], capacity=0)
-
-
 def test_outcome_eviction_implies_miss():
-    cache = new_cache(1)
+    cache = CacheState(1)
     for rank in (1, 2, 2, 3):
         hit, evicted = cache.access(rank)
         assert not (hit and evicted is not None)
 
 
 def test_single_object_one_cold_miss():
-    w = Workload(requests=np.ones(20, dtype=np.int64),
-                 session_boundaries=np.array([20]), seed=0, n_objects=1)
     for policy in ("session_lfu", "lru", "lfu_classic"):
-        out = run_policy(policy, 1, w)
-        assert len(out) == 20
-        assert [o.hit for o in out] == [False] + [True] * 19
+        out = _outcomes(make_policy(policy, 1), [1] * 20)
+        assert out == [(False, None)] + [(True, None)] * 19
 
 
 def test_lfu_classic_equals_session_size_one():
     cat = build_catalog(8, 0.9)
     w1 = generate_workload(cat, 200, 1, seed=17)
-    out_session = run_policy("session_lfu", 3, w1)
-    out_classic = run_policy("lfu_classic", 3, w1)
-    assert out_session == out_classic
+    assert _replay("session_lfu", 3, w1) == _replay("lfu_classic", 3, w1)
 
 
 def test_session_partition_does_not_change_outcomes():
-    # per-request semantics: the session split is bookkeeping only
+    # per-request semantics: the session size is bookkeeping only
     cat = build_catalog(8, 0.9)
     ranks = generate_workload(cat, 300, 300, seed=23).requests
-    per_split = []
-    for session in (7, 50, 300):
-        bounds = np.append(np.arange(session, 300, session), 300)
-        w = Workload(requests=ranks, session_boundaries=bounds,
-                     seed=0, n_objects=8)
-        per_split.append(run_policy("session_lfu", 4, w))
-    assert per_split[0] == per_split[1] == per_split[2]
-
-
-def test_buffer_capacity_does_not_change_state():
-    for m in (3, 10, 1000):
-        cache = new_cache(2, [1, 2])
-        process_session(cache, SessionBuffer(pending=[1, 3, 1], capacity=m))
-        assert cache.entries[1][0] == 2
-        assert cache.entries[3][0] == 1
+    per_size = [
+        _replay(policy, 4, Workload(requests=ranks, session_size=session,
+                                    seed=0, n_objects=8))
+        for session in (1, 7, 50, 300, 1000)
+        for policy in ("session_lfu", "lfu_classic")]
+    assert all(out == per_size[0] for out in per_size)
 
 
 def test_lru_differs_from_lfu_where_expected():
     # after [1,1,2], request 3 with C=2: LRU drops 1, LFU drops 2
-    w = Workload(requests=np.array([1, 1, 2, 3]),
-                 session_boundaries=np.array([4]), seed=0, n_objects=3)
-    lru_out = run_policy("lru", 2, w)
-    lfu_out = run_policy("lfu_classic", 2, w)
-    assert lru_out[3].evicted == 1
-    assert lfu_out[3].evicted == 2
+    lru_out = _outcomes(make_policy("lru", 2), [1, 1, 2, 3])
+    lfu_out = _outcomes(make_policy("lfu_classic", 2), [1, 1, 2, 3])
+    assert lru_out[3] == (False, 1)
+    assert lfu_out[3] == (False, 2)
 
 
 def test_lru_recency_order():
-    w = Workload(requests=np.array([1, 2, 1, 3]),
-                 session_boundaries=np.array([4]), seed=0, n_objects=3)
-    out = run_policy("lru", 2, w)
+    out = _outcomes(make_policy("lru", 2), [1, 2, 1, 3])
     # rank 1 touched after 2, so 2 is the LRU victim
-    assert out[3].evicted == 2
+    assert out[3] == (False, 2)
 
 
 def test_monotone_warm_up_never_evicts():
-    cache = new_cache(4)
+    cache = CacheState(4)
     for rank in (3, 1, 4, 2):
         hit, evicted = cache.access(rank)
         assert not hit and evicted is None
@@ -197,7 +166,7 @@ def test_capacity_safety_random_traces():
 
 def test_resident_count_and_seq_invariants():
     rng = np.random.default_rng(11)
-    cache = new_cache(3)
+    cache = CacheState(3)
     last_counts = {}
     for r in rng.integers(1, 7, size=200).tolist():
         cache.access(r)
@@ -213,10 +182,9 @@ def test_resident_count_and_seq_invariants():
 
 
 def test_unknown_policy_rejected():
-    w = Workload(requests=np.array([1]), session_boundaries=np.array([1]),
-                 seed=0, n_objects=1)
+    w = Workload(requests=np.array([1]), session_size=1, seed=0, n_objects=1)
     with pytest.raises(ValueError):
-        run_policy("mru", 2, w)
+        _replay("mru", 2, w)
     with pytest.raises(ValueError):
         make_policy("nosuch", 2)
 
@@ -228,7 +196,7 @@ def test_brute_force_equivalence_random_traces():
         n = int(rng.integers(1, 9))
         r_total = int(rng.integers(1, 51))
         ranks = rng.integers(1, n + 1, size=r_total).tolist()
-        cache = new_cache(capacity)
+        cache = CacheState(capacity)
         ref = ReferenceCache(capacity)
         assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
         assert set(cache.entries) == set(ref.resident)
@@ -243,6 +211,6 @@ def test_brute_force_equivalence_with_warm_start():
         n = int(rng.integers(capacity, 9))
         warm = (rng.permutation(np.arange(1, n + 1))[:capacity]).tolist()
         ranks = rng.integers(1, n + 1, size=40).tolist()
-        cache = new_cache(capacity, warm)
+        cache = CacheState(capacity, warm=warm)
         ref = ReferenceCache(capacity, warm)
         assert _outcomes(cache, ranks) == _outcomes(ref, ranks)

@@ -19,6 +19,12 @@ def test_gen_single_object_trace(tmp_path):
     assert lines[1:] == ["1"] * 5
 
 
+def test_gen_session_longer_than_trace_kept_in_header(tmp_path):
+    out = tmp_path / "t.trace"
+    assert main(_gen_args(out, objects=10, requests=300, session=1000)) == 0
+    assert out.read_text().splitlines()[0] == "#n_objects=10 session=1000"
+
+
 def test_gen_subprocess_end_to_end(tmp_path):
     # one real process round-trip; everything else runs in-process
     out = tmp_path / "t.trace"
@@ -184,9 +190,11 @@ def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("objects=4\nrequests=6\nalpha=0.5\nseed=9\n"
                    f"out={tmp_path / 'c.trace'}\nsession=3\n")
-    assert main(["gen", "--config", str(cfg)]) == 0
-    header = (tmp_path / "c.trace").read_text().splitlines()[0]
-    assert header == "#n_objects=4 session=3"
+    for argv in (["gen", "--config", str(cfg)], ["gen", f"--config={cfg}"]):
+        (tmp_path / "c.trace").unlink(missing_ok=True)
+        assert main(argv) == 0
+        header = (tmp_path / "c.trace").read_text().splitlines()[0]
+        assert header == "#n_objects=4 session=3"
 
 
 def test_config_file_flags_win(tmp_path):
@@ -218,3 +226,34 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["estimate", "--help"]) == 0
     helptext = capsys.readouterr().out
     assert "kb" in helptext and "ms" in helptext
+
+
+def _assert_one_line_error(capsys, message):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+
+
+def test_run_trace_rejects_out_of_range_k(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    assert main(_gen_args(trace, objects=10, requests=50)) == 0
+    out_dir = tmp_path / "run"
+    assert main(["run", "--trace", str(trace), "--capacity", "5",
+                 "--seed", "2", "--k", "5", "--out-dir", str(out_dir)]) == 1
+    _assert_one_line_error(capsys, "k must be in [0, 1]")
+    assert not (out_dir / "report.csv").exists()
+
+
+def test_non_finite_attribute_ranges_rejected(tmp_path, capsys):
+    point = ["--objects", "20", "--alpha", "0.7", "--capacity", "5",
+             "--seed", "1"]
+    for flag, value in (("--sizes", "nan,2"), ("--sizes", "1,inf"),
+                        ("--times", "nan,1")):
+        out_dir, model = tmp_path / "run", tmp_path / "model.csv"
+        assert main(["run", *point, "--requests", "50", flag, value,
+                     "--out-dir", str(out_dir)]) == 1
+        _assert_one_line_error(capsys, "must be finite")
+        assert main(["estimate", *point, flag, value,
+                     "--out", str(model)]) == 1
+        _assert_one_line_error(capsys, "must be finite")
+        assert not out_dir.exists() and not model.exists()

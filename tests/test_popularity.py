@@ -6,7 +6,7 @@ from scipy import stats
 
 from proxysim.popularity import (ComplexExponent, build_catalog,
                                  generalized_harmonic, power_modulus,
-                                 probability, sample_rank, sample_ranks,
+                                 probability, sample_ranks,
                                  write_catalog_csv, zeta_partial_terms)
 
 EULER_GAMMA = 0.5772156649015329
@@ -92,7 +92,7 @@ def test_probability_lookup_and_range_check():
 def test_sample_rank_single_object():
     cat = build_catalog(1, 0.98)
     rng = np.random.default_rng(123)
-    assert all(sample_rank(cat, rng) == 1 for _ in range(50))
+    assert all(sample_ranks(cat, 1, rng).tolist() == [1] for _ in range(50))
 
 
 def test_sample_rank_frequency_matches_probability():
@@ -110,8 +110,8 @@ def test_sample_rank_deterministic():
     cat = build_catalog(100, 0.98)
     rng1 = np.random.default_rng(99)
     rng2 = np.random.default_rng(99)
-    seq1 = [sample_rank(cat, rng1) for _ in range(200)]
-    seq2 = [sample_rank(cat, rng2) for _ in range(200)]
+    seq1 = [int(sample_ranks(cat, 1, rng1)[0]) for _ in range(200)]
+    seq2 = [int(sample_ranks(cat, 1, rng2)[0]) for _ in range(200)]
     assert seq1 == seq2
 
 
@@ -119,7 +119,7 @@ def test_bulk_sampling_matches_single_draws():
     cat = build_catalog(50, 0.75)
     bulk = sample_ranks(cat, 300, np.random.default_rng(11))
     rng = np.random.default_rng(11)
-    singles = [sample_rank(cat, rng) for _ in range(300)]
+    singles = [int(sample_ranks(cat, 1, rng)[0]) for _ in range(300)]
     assert bulk.tolist() == singles
 
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from proxysim.analytics import top_c_mass
 from proxysim.popularity import build_catalog
@@ -175,6 +176,21 @@ def test_fit_power_law_uniform_slope_zero():
     assert abs(slope) <= 0.05
 
 
+def test_fit_power_law_matches_linregress():
+    rng = np.random.default_rng(2024)
+    cases = [rng.integers(1, 10000, size=int(n)).astype(np.float64)
+             for n in rng.integers(3, 300, size=50)]
+    cases += [np.full(n, v) for n in (3, 10, 100) for v in (1.0, 3.0, 5e4)]
+    for counts in cases:
+        slope, r2 = fit_power_law(counts, counts.size)
+        ranks = np.arange(1, counts.size + 1, dtype=np.float64)
+        ref = stats.linregress(np.log(ranks), np.log(counts))
+        ref_r2 = 1.0 if np.isnan(ref.rvalue) else ref.rvalue ** 2
+        assert abs(slope - ref.slope) <= 1e-12
+        assert abs(r2 - ref_r2) <= 1e-12
+    assert fit_power_law(np.ones(10), 10) == (0.0, 1.0)
+
+
 def test_fit_power_law_needs_three_points():
     with pytest.raises(ValueError):
         fit_power_law(np.array([5.0, 0.0, 0.0, 0.0]), 4)
@@ -204,6 +220,8 @@ def test_config_validation():
         _config(total_requests=0)
     with pytest.raises(ValueError):
         _config(cache_capacity=0)
+    with pytest.raises(ValueError):
+        _config(cache_capacity=(), k=1.5)
     with pytest.raises(ValueError):
         _config(alpha=-0.5)
     with pytest.raises(ValueError):

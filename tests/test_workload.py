@@ -13,11 +13,9 @@ def test_single_object_workload_shape():
     cat = build_catalog(1, 0.5)
     w = generate_workload(cat, 5, 2, seed=7)
     assert w.requests.tolist() == [1, 1, 1, 1, 1]
-    assert w.session_boundaries.tolist() == [2, 4, 5]
     assert w.n_objects == 1
     assert w.total_requests == 5
     assert w.session_size == 2
-    assert [s.tolist() for s in w.sessions()] == [[1, 1], [1, 1], [1]]
 
 
 def test_rank1_count_matches_binomial_oracle():
@@ -34,7 +32,7 @@ def test_workload_deterministic(tmp_path):
     w1 = generate_workload(cat, 5000, 500, seed=31)
     w2 = generate_workload(cat, 5000, 500, seed=31)
     assert np.array_equal(w1.requests, w2.requests)
-    assert np.array_equal(w1.session_boundaries, w2.session_boundaries)
+    assert w1.session_size == w2.session_size == 500
     p1, p2 = tmp_path / "a.trace", tmp_path / "b.trace"
     save_trace(w1, str(p1))
     save_trace(w2, str(p2))
@@ -44,10 +42,10 @@ def test_workload_deterministic(tmp_path):
 def test_workload_boundaries_partition_requests():
     cat = build_catalog(50, 0.64)
     w = generate_workload(cat, 2501, 1000, seed=5)
-    b = w.session_boundaries
-    assert b.tolist() == [1000, 2000, 2501]
-    assert np.all(np.diff(b) > 0)
-    assert sum(len(s) for s in w.sessions()) == w.total_requests
+    assert w.session_size == 1000
+    assert w.total_requests == 2501
+    # a session longer than the stream keeps its nominal size
+    assert generate_workload(cat, 300, 1000, seed=5).session_size == 1000
     assert np.all(w.requests >= 1) and np.all(w.requests <= 50)
 
 
@@ -79,11 +77,16 @@ def test_attributes_reject_bad_ranges():
         assign_attributes(5, (1.0, 15.0), (-2.0, 10.0), seed=1)
     with pytest.raises(ValueError):
         assign_attributes(5, (15.0, 1.0), (1.0, 10.0), seed=1)
+    for bad in ((math.nan, 2.0), (1.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            assign_attributes(5, bad, (1.0, 10.0), seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            assign_attributes(5, (1.0, 15.0), bad, seed=1)
 
 
 def test_histogram_direct_count():
-    w = Workload(requests=np.array([1, 1, 2]),
-                 session_boundaries=np.array([3]), seed=0, n_objects=3)
+    w = Workload(requests=np.array([1, 1, 2]), session_size=3, seed=0,
+                 n_objects=3)
     assert rank_histogram(w).tolist() == [2, 1, 0]
 
 
@@ -113,13 +116,13 @@ def test_histogram_decile_counts_non_increasing():
 
 
 def test_trace_round_trip(tmp_path):
-    w = Workload(requests=np.array([1, 1, 2]),
-                 session_boundaries=np.array([3]), seed=0, n_objects=3)
+    w = Workload(requests=np.array([1, 1, 2]), session_size=3, seed=0,
+                 n_objects=3)
     path = tmp_path / "t.trace"
     save_trace(w, str(path))
     back = load_trace(str(path))
     assert back.requests.tolist() == [1, 1, 2]
-    assert back.session_boundaries.tolist() == [3]
+    assert back.session_size == 3
     assert back.n_objects == 3
 
     cat = build_catalog(40, 0.98)
@@ -127,7 +130,7 @@ def test_trace_round_trip(tmp_path):
     save_trace(gen, str(path))
     back = load_trace(str(path))
     assert np.array_equal(back.requests, gen.requests)
-    assert np.array_equal(back.session_boundaries, gen.session_boundaries)
+    assert back.session_size == gen.session_size == 700
     assert back.n_objects == gen.n_objects
 
 
@@ -140,9 +143,12 @@ def test_trace_zero_rank_names_line_number(tmp_path):
 
 def test_trace_malformed_rank_names_line_number(tmp_path):
     path = tmp_path / "bad.trace"
-    path.write_text("#n_objects=3 session=2\n1\ntwo\n")
-    with pytest.raises(TraceParseError, match="line 3"):
-        load_trace(str(path))
+    # int() alone would read "1_0" as 10 and the non-ASCII digits as 3
+    for bad in ("two", "1_0", "\u0663", "\uff13"):
+        path.write_text(f"#n_objects=20 session=2\n1\n{bad}\n",
+                        encoding="utf-8")
+        with pytest.raises(TraceParseError, match="line 3"):
+            load_trace(str(path))
 
 
 def test_trace_rank_beyond_catalog_rejected(tmp_path):
