@@ -228,13 +228,11 @@ def compare_analytic(config: SimConfig) -> list[CapacityComparison]:
     if isinstance(config.alpha, (tuple, list)):
         raise ValueError("compare_analytic needs a scalar alpha")
     alpha = config.alphas[0]
-    catalog, workload, attrs, derived = _build_inputs(config, alpha)
+    catalog, workload, attrs, _ = _build_inputs(config, alpha)
     rows = []
     for capacity in config.capacities:
-        report = simulate_workload(
-            workload, attrs, capacity, config.policy, config.k,
-            config.rate_convention,
-            _config_echo(config, alpha, capacity, derived))
+        report = simulate_workload(workload, attrs, capacity, config.policy,
+                                   config.k, config.rate_convention, {})
         mass = top_c_mass(catalog, capacity)
         model = {
             conv: aggregate_bandwidth(
@@ -284,7 +282,7 @@ def fit_power_law(counts, max_rank: int) -> tuple[float, float]:
     dy = y - y.mean()
     sxx, sxy, syy = dx @ dx, dx @ dy, dy @ dy
     slope = sxy / sxx
-    # Constant counts leave no variance to explain: the flat fit is exact.
+    # syy == 0 only for constant counts (linregress's nan r): a flat fit.
     r_squared = 1.0 if syy == 0 else min(sxy * sxy / (sxx * syy), 1.0)
     return float(slope), float(r_squared)
 
