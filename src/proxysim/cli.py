@@ -11,7 +11,7 @@ from .analytics import (BandwidthParams, model_report, top_c_mass,
                         top_c_mass_asymptotic, write_model_report_csv)
 from .cache import POLICIES
 from .popularity import build_catalog
-from .simulator import (DEFAULT_ALPHAS, SimConfig, compare_analytic,
+from .simulator import (DEFAULT_ALPHAS, SimConfig, compare_run,
                         run_simulation, simulate_workload, sweep,
                         write_comparison_csv, write_report_csv,
                         write_summary_json)
@@ -257,7 +257,7 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.compare:
         if compare_config is None:
             sub.error("--compare requires generation flags, not --trace")
-        comparison = compare_analytic(compare_config)
+        comparison = compare_run(compare_config, report)
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.csv")

@@ -11,6 +11,7 @@ top-rank mass they should track.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -197,24 +198,65 @@ def run_simulation(config: SimConfig) -> SimReport:
                                              derived))
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep(config: SimConfig) -> list[SimReport]:
     """Run the cross-product of the config's alpha and capacity lists.
 
     Sweep point ``i`` runs with seed ``config.seed ^ i`` so points are
     independent yet reproducible; the effective seed lands in each
-    report's config echo.
+    report's config echo. Points share nothing, so they run in worker
+    processes, at most one per available CPU; reports come back in
+    point order and do not depend on the worker count. If a point
+    raises, the pending points are cancelled and its exception is
+    re-raised here.
     """
     if not config.is_sweep:
         raise ValueError("sweep needs a list-valued alpha or cache_capacity")
-    reports = []
-    index = 0
-    for alpha in config.alphas:
-        for capacity in config.capacities:
-            point = replace(config, alpha=alpha, cache_capacity=capacity,
-                            seed=config.seed ^ index)
-            reports.append(run_simulation(point))
-            index += 1
-    return reports
+    grid = [(alpha, capacity) for alpha in config.alphas
+            for capacity in config.capacities]
+    points = [replace(config, alpha=alpha, cache_capacity=capacity,
+                      seed=config.seed ^ index)
+              for index, (alpha, capacity) in enumerate(grid)]
+    workers = min(len(points), _available_cpus())
+    if workers == 1:
+        return list(map(run_simulation, points))
+    # imported here so that importing the package does not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers)
+    try:
+        return list(pool.map(run_simulation, points))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _comparison_row(catalog: ZipfCatalog, attrs: ObjectAttributes, k: float,
+                    capacity: int, report: SimReport) -> CapacityComparison:
+    """Put one replay at ``capacity`` next to the closed-form model."""
+    mass = top_c_mass(catalog, capacity)
+    model = {
+        conv: aggregate_bandwidth(
+            attrs,
+            BandwidthParams(k=k, cache_capacity=capacity,
+                            rate_convention=conv),
+            catalog, catalog.n_objects)
+        for conv in ("product", "ratio")
+    }
+    return CapacityComparison(
+        capacity=capacity,
+        simulated_hit_ratio=report.hit_ratio,
+        top_c_mass=mass,
+        gap=abs(report.hit_ratio - mass),
+        sim_bandwidth=report.total_bandwidth,
+        model_bandwidth_product=model["product"],
+        model_bandwidth_ratio=model["ratio"],
+    )
 
 
 def compare_analytic(config: SimConfig) -> list[CapacityComparison]:
@@ -227,31 +269,29 @@ def compare_analytic(config: SimConfig) -> list[CapacityComparison]:
     """
     if isinstance(config.alpha, (tuple, list)):
         raise ValueError("compare_analytic needs a scalar alpha")
-    alpha = config.alphas[0]
-    catalog, workload, attrs, _ = _build_inputs(config, alpha)
-    rows = []
-    for capacity in config.capacities:
-        report = simulate_workload(workload, attrs, capacity, config.policy,
-                                   config.k, config.rate_convention, {})
-        mass = top_c_mass(catalog, capacity)
-        model = {
-            conv: aggregate_bandwidth(
-                attrs,
-                BandwidthParams(k=config.k, cache_capacity=capacity,
-                                rate_convention=conv),
-                catalog, catalog.n_objects)
-            for conv in ("product", "ratio")
-        }
-        rows.append(CapacityComparison(
-            capacity=capacity,
-            simulated_hit_ratio=report.hit_ratio,
-            top_c_mass=mass,
-            gap=abs(report.hit_ratio - mass),
-            sim_bandwidth=report.total_bandwidth,
-            model_bandwidth_product=model["product"],
-            model_bandwidth_ratio=model["ratio"],
-        ))
-    return rows
+    catalog, workload, attrs, _ = _build_inputs(config, config.alphas[0])
+    return [
+        _comparison_row(catalog, attrs, config.k, capacity,
+                        simulate_workload(workload, attrs, capacity,
+                                          config.policy, config.k,
+                                          config.rate_convention, {}))
+        for capacity in config.capacities
+    ]
+
+
+def compare_run(config: SimConfig,
+                report: SimReport) -> list[CapacityComparison]:
+    """The :func:`compare_analytic` table of a scalar config, built from
+    the report ``run_simulation(config)`` returned instead of a second
+    replay; only the cheap catalog and attribute table are rebuilt."""
+    if config.is_sweep:
+        raise ValueError("compare_run needs scalar alpha and capacity")
+    _, attr_seed = _derived_seeds(config.seed)
+    catalog = build_catalog(config.n_objects, config.alphas[0])
+    attrs = assign_attributes(config.n_objects, config.size_range,
+                              config.time_range, attr_seed)
+    return [_comparison_row(catalog, attrs, config.k, config.capacities[0],
+                            report)]
 
 
 def fit_power_law(counts, max_rank: int) -> tuple[float, float]:

@@ -17,6 +17,7 @@ from .popularity import ZipfCatalog, sample_ranks
 DEFAULT_SIZE_RANGE = (1.0, 15.0)   # kilobits
 DEFAULT_TIME_RANGE = (1.0, 10.0)   # milliseconds
 DEFAULT_SESSION_SIZE = 1000
+_TRACE_CHUNK = 1 << 16   # ranks formatted per write in save_trace
 
 
 class TraceParseError(ValueError):
@@ -117,8 +118,14 @@ def save_trace(workload: Workload, path: str) -> None:
     with open(path, "w") as f:
         f.write(f"#n_objects={workload.n_objects} "
                 f"session={workload.session_size}\n")
-        f.write("\n".join(str(int(r)) for r in workload.requests))
-        f.write("\n")
+        # whole-array tolist() is faster than str() per numpy scalar but
+        # would hold every rank as a Python int and str at once; chunks
+        # keep the speed with bounded memory
+        requests = workload.requests
+        for start in range(0, requests.size, _TRACE_CHUNK):
+            chunk = requests[start:start + _TRACE_CHUNK].tolist()
+            f.write("\n".join(map(str, chunk)))
+            f.write("\n")
 
 
 def load_trace(path: str) -> Workload:

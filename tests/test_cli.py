@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+from proxysim import simulator
 from proxysim.cli import main
+from proxysim.simulator import (SimConfig, compare_analytic,
+                                write_comparison_csv)
 
 
 def _gen_args(out, objects=1, requests=5, alpha=0.5, session=2, seed=7):
@@ -110,6 +113,18 @@ def test_run_compare_table(tmp_path):
     assert len(lines) == 2
 
 
+def test_run_compare_matches_compare_analytic(tmp_path):
+    out_dir = tmp_path / "run"
+    assert main(["run", "--objects", "80", "--requests", "3000",
+                 "--alpha", "0.7", "--capacity", "10", "--seed", "4",
+                 "--compare", "--out-dir", str(out_dir)]) == 0
+    direct = tmp_path / "direct.csv"
+    write_comparison_csv(compare_analytic(SimConfig(
+        n_objects=80, alpha=0.7, total_requests=3000, cache_capacity=10,
+        seed=4)), str(direct))
+    assert (out_dir / "comparison.csv").read_bytes() == direct.read_bytes()
+
+
 def test_sweep_explicit_alphas(tmp_path):
     out_dir = tmp_path / "swp"
     assert main(["sweep", "--objects", "60", "--requests", "600",
@@ -146,6 +161,31 @@ def test_sweep_reruns_byte_identical(tmp_path):
     assert names == sorted(p.name for p in dirs[1].iterdir())
     for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_sweep_output_independent_of_worker_count(tmp_path, monkeypatch):
+    dirs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulator, "_available_cpus", lambda: cpus)
+        dirs[cpus] = tmp_path / f"cpus{cpus}"
+        assert main(["sweep", "--objects", "40", "--requests", "400",
+                     "--alphas", "0.9,0.4", "--capacities", "4,8",
+                     "--session", "80", "--seed", "77",
+                     "--out-dir", str(dirs[cpus])]) == 0
+    names = sorted(p.name for p in dirs[1].iterdir())
+    assert names == sorted(p.name for p in dirs[2].iterdir())
+    for name in names:
+        assert (dirs[1] / name).read_bytes() == (dirs[2] / name).read_bytes()
+
+
+def test_sweep_worker_error_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: 2)
+    out_dir = tmp_path / "swp"
+    assert main(["sweep", "--objects", "40", "--requests", "400",
+                 "--alphas", "0.9,0.4", "--sizes", "nan,2", "--seed", "5",
+                 "--out-dir", str(out_dir)]) == 1
+    _assert_one_line_error(capsys, "proxysim sweep: error:")
+    assert not out_dir.exists()
 
 
 def test_estimate_exact_summary(tmp_path, capsys):

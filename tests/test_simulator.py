@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from proxysim import simulator
 from proxysim.analytics import top_c_mass
 from proxysim.popularity import build_catalog
 from proxysim.simulator import (DEFAULT_ALPHAS, SimConfig, compare_analytic,
@@ -113,6 +114,26 @@ def test_sweep_cross_product_shape():
     combos = [(r.config["alpha"], r.config["cache_capacity"])
               for r in reports]
     assert combos == [(a, c) for a in (0.98, 0.51, 0.31) for c in (5, 10)]
+
+
+def test_sweep_single_cpu_matches_pool(monkeypatch):
+    config = _config(alpha=(0.98, 0.51, 0.31), cache_capacity=(5, 10),
+                     total_requests=2000)
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: 2)
+    pooled = sweep(config)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one CPU must not start a pool")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: 1)
+    serial = sweep(config)
+    assert len(serial) == len(pooled) == 6
+    for a, b in zip(serial, pooled):
+        assert np.array_equal(a.requests, b.requests)
+        assert np.array_equal(a.hits, b.hits)
+        assert a.hit_ratio == b.hit_ratio
+        assert a.config == b.config
 
 
 def test_hit_ratio_grows_with_capacity():

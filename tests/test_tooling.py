@@ -8,10 +8,12 @@ from pathlib import Path
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; the CLI must not pay for it
+def _modules_after_cli_import(*packages):
+    """Top-level ``packages`` loaded by ``import proxysim.cli`` in a fresh
+    interpreter."""
     probe = ("import sys, proxysim.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] in {packages!r}))")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -19,7 +21,17 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the CLI must not pay for it
+    assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only sweep() needs worker processes; it imports them when it runs
+    assert _modules_after_cli_import("concurrent", "multiprocessing") == "[]"
 
 
 def test_demo_imports_exist():
