@@ -9,12 +9,17 @@ wins out over recency of insertion. The policy names ``session_lfu``
 and ``lfu_classic`` both select this cache: the state depends only on
 request order, so sessions are bookkeeping. Plain LRU is the recency
 baseline with the same access interface.
+
+The LFU victim search keeps every resident but the newest admission in a
+heap whose stored counts are lower bounds; the newest admission waits
+in a pending slot, and since it loses every count tie it is the usual
+victim, evicted without a heap operation.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from heapq import heappop, heappush
+from heapq import heappush, heapreplace
 
 POLICIES = ("session_lfu", "lru", "lfu_classic")
 
@@ -23,14 +28,22 @@ class CacheState:
     """Frequency-ordered cache of at most ``capacity`` objects.
 
     Eviction picks the resident entry with the smallest
-    ``(access_count, insertion_seq)`` pair. The victim search uses a
-    lazy-deletion heap: stale heap tuples are dropped or refreshed when
-    popped, which keeps misses at amortized O(log C) while choosing
-    exactly the entry a full scan would.
+    ``(access_count, insertion_seq)`` pair, exactly the entry a full
+    scan would choose. The newest admission sits in the ``_pending``
+    slot; the heap holds one ``(count, insertion_seq, rank)`` entry for
+    every other resident, whose stored count may lag the current count
+    but never exceeds it. ``heap[0][0]`` is therefore a lower bound on
+    the count of every non-pending resident, and the pending entry, with
+    the largest ``insertion_seq``, loses every tie. A miss on a full
+    cache evicts the pending entry outright when its count is below
+    that bound; otherwise it refreshes lagging counts at the top and
+    either evicts the pending entry or swaps it in for the top with one
+    ``heapreplace``. Admissions into a cache that is not full move the
+    previous pending entry into the heap.
 
     ``warm`` pre-populates the cache with at most ``capacity`` distinct
     ranks, admitted at count 0 in ascending insertion order without
-    counting an access.
+    counting an access; the last of them is the pending entry.
     """
 
     def __init__(self, capacity: int, warm=()):
@@ -48,6 +61,8 @@ class CacheState:
             self._counts[rank] = 0
             self._resident[rank] = seq
             self._heap.append((0, seq, rank))  # ascending keys: a valid heap
+        # the newest admission, kept out of the heap; None only when empty
+        self._pending = self._heap.pop()[2] if self._heap else None
         self.next_seq = len(self._resident)
 
     def __contains__(self, rank: int) -> bool:
@@ -68,27 +83,33 @@ class CacheState:
         if rank in resident:
             counts[rank] += 1
             return True, None
-        evicted = None
-        if len(resident) >= self.capacity:
+        pending = self._pending
+        if len(resident) < self.capacity:
+            evicted = None
+            if pending is not None:
+                heappush(self._heap,
+                         (counts[pending], resident[pending], pending))
+        else:
             heap = self._heap
-            while True:
-                count, seq, victim = heappop(heap)
-                live_seq = resident.get(victim)
-                if live_seq is None or live_seq != seq:
-                    continue                      # stale: already evicted
-                current = counts[victim]
-                if current != count:
-                    heappush(heap, (current, seq, victim))  # refresh
-                    continue
-                del resident[victim]
-                evicted = victim
-                break
-        count = counts.get(rank, 0) + 1
-        counts[rank] = count
+            pending_count = counts[pending]
+            evicted = pending
+            while heap:
+                count, seq, top = heap[0]
+                if pending_count < count:
+                    break                         # pending is the victim
+                current = counts[top]
+                if current == count:              # top is current: it wins
+                    evicted = top
+                    heapreplace(heap,
+                                (pending_count, resident[pending], pending))
+                    break
+                heapreplace(heap, (current, seq, top))  # refresh the top
+            del resident[evicted]
+        counts[rank] = counts.get(rank, 0) + 1
         seq = self.next_seq
         self.next_seq = seq + 1
         resident[rank] = seq
-        heappush(self._heap, (count, seq, rank))
+        self._pending = rank
         return False, evicted
 
 

@@ -277,6 +277,11 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_stem(alpha: float, capacity: int) -> str:
+    """File-name stem of one sweep point's report and summary."""
+    return f"a{alpha:g}_c{capacity}"
+
+
 def cmd_sweep(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require(sub, args, "seed", "out-dir")
     if not args.alphas or not args.capacities:
@@ -287,6 +292,12 @@ def cmd_sweep(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         seed=args.seed, session_size=args.session, policy=args.policy,
         size_range=args.sizes, time_range=args.times, k=args.k,
         rate_convention=args.rate)
+    stems = [_sweep_stem(alpha, capacity) for alpha in config.alphas
+             for capacity in config.capacities]
+    clash = next((s for s in stems if stems.count(s) > 1), None)
+    if clash is not None:
+        sub.error(f"two sweep points would both write {clash}; "
+                  "give distinct --alphas and --capacities")
     reports = sweep(config)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -294,7 +305,7 @@ def cmd_sweep(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     for report in reports:
         alpha = report.config["alpha"]
         capacity = report.config["cache_capacity"]
-        stem = f"a{alpha:g}_c{capacity}"
+        stem = _sweep_stem(alpha, capacity)
         report_path = os.path.join(args.out_dir, f"report_{stem}.csv")
         summary_path = os.path.join(args.out_dir, f"summary_{stem}.json")
         _atomic_write(report_path, lambda p, r=report: write_report_csv(r, p))

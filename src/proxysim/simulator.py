@@ -306,6 +306,7 @@ def fit_power_law(counts, max_rank: int) -> tuple[float, float]:
     (slope, r_squared)
         ``slope`` is negative for decaying popularity; ``r_squared``
         measures how well a pure power law explains the counts.
+        Constant counts are a flat fit, ``(0.0, 1.0)``.
     """
     counts = np.asarray(counts, dtype=np.float64)
     upper = min(int(max_rank), counts.size)
@@ -318,12 +319,14 @@ def fit_power_law(counts, max_rank: int) -> tuple[float, float]:
             f"got {int(usable.sum())}")
     x = np.log(ranks[usable])
     y = np.log(y[usable])
+    if np.ptp(y) == 0:
+        # constant counts: a flat fit, however the mean below would round
+        return 0.0, 1.0
     dx = x - x.mean()
     dy = y - y.mean()
     sxx, sxy, syy = dx @ dx, dx @ dy, dy @ dy
     slope = sxy / sxx
-    # syy == 0 only for constant counts (linregress's nan r): a flat fit.
-    r_squared = 1.0 if syy == 0 else min(sxy * sxy / (sxx * syy), 1.0)
+    r_squared = min(sxy * sxy / (sxx * syy), 1.0)
     return float(slope), float(r_squared)
 
 

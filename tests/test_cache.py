@@ -40,6 +40,25 @@ class ReferenceCache:
         return False, evicted
 
 
+class ReferenceLru:
+    """Naive LRU reference: a plain list, least recently used first."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.order = []
+
+    def access(self, rank):
+        if rank in self.order:
+            self.order.remove(rank)
+            self.order.append(rank)
+            return True, None
+        evicted = None
+        if len(self.order) == self.capacity:
+            evicted = self.order.pop(0)
+        self.order.append(rank)
+        return False, evicted
+
+
 def _outcomes(cache, ranks):
     return [cache.access(r) for r in ranks]
 
@@ -89,6 +108,14 @@ def test_session_hand_trace_tie_breaks_oldest():
     # both warm entries at count 0: the older insertion loses
     cache = CacheState(2, warm=[1, 2])
     assert cache.access(3) == (False, 1)
+
+
+def test_session_hand_trace_pending_ties_heap_minimum():
+    # 2 is the newest admission and ties 1 at count 1: the older 1 loses
+    cache = CacheState(2)
+    assert _outcomes(cache, [1, 2, 3]) == [
+        (False, None), (False, None), (False, 1)]
+    assert cache.entries == {2: (1, 1), 3: (1, 2)}
 
 
 def test_session_hand_trace_cold_start():
@@ -214,3 +241,40 @@ def test_brute_force_equivalence_with_warm_start():
         cache = CacheState(capacity, warm=warm)
         ref = ReferenceCache(capacity, warm)
         assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
+
+
+@pytest.mark.parametrize("alpha", [0.98, 0.31])
+@pytest.mark.parametrize("capacity", [1, 2, 10, 50])
+@pytest.mark.parametrize("warm", [False, True])
+def test_brute_force_equivalence_zipf_traces(alpha, capacity, warm):
+    ranks = generate_workload(build_catalog(200, alpha), 5000, 5000,
+                              seed=capacity).requests.tolist()
+    warm_list = (np.random.default_rng(capacity).permutation(200)[:capacity]
+                 + 1).tolist() if warm else []
+    cache = CacheState(capacity, warm=warm_list)
+    ref = ReferenceCache(capacity, warm_list)
+    assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
+    assert cache.entries == {rank: (ref.counts[rank], seq)
+                             for rank, seq in ref.resident.items()}
+
+
+def test_lru_brute_force_equivalence_random_traces():
+    rng = np.random.default_rng(1970)
+    for _ in range(1000):
+        capacity = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 9))
+        ranks = rng.integers(1, n + 1, size=int(rng.integers(1, 51))).tolist()
+        cache = make_policy("lru", capacity)
+        ref = ReferenceLru(capacity)
+        assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
+
+
+@pytest.mark.parametrize("alpha", [0.98, 0.31])
+@pytest.mark.parametrize("capacity", [1, 2, 10, 50])
+def test_lru_brute_force_equivalence_zipf_traces(alpha, capacity):
+    ranks = generate_workload(build_catalog(200, alpha), 5000, 5000,
+                              seed=capacity).requests.tolist()
+    cache = make_policy("lru", capacity)
+    ref = ReferenceLru(capacity)
+    assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
+    assert list(cache._map) == ref.order

@@ -188,6 +188,19 @@ def test_sweep_worker_error_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not out_dir.exists()
 
 
+def test_sweep_rejects_points_sharing_a_file_name(tmp_path, capsys):
+    grids = [("0.1234567,0.1234568", "5"), ("0.5,0.5", "5"), ("0.5", "5,5")]
+    for index, (alphas, capacities) in enumerate(grids):
+        out_dir = tmp_path / f"swp{index}"
+        assert main(["sweep", "--objects", "40", "--requests", "400",
+                     "--alphas", alphas, "--capacities", capacities,
+                     "--seed", "5", "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("proxysim sweep: error: ")
+        assert not out_dir.exists()
+
+
 def test_estimate_exact_summary(tmp_path, capsys):
     out = tmp_path / "model.csv"
     assert main(["estimate", "--objects", "3", "--alpha", "1",
