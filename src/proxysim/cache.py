@@ -1,4 +1,4 @@
-"""Bounded cache with session-initiative least-frequently-used eviction.
+"""Bounded caches and the replay of request streams through them.
 
 Requests are replayed against the cache in order. A hit bumps the
 object's access count; a miss on a full cache evicts the resident entry
@@ -14,12 +14,23 @@ The LFU victim search keeps every resident but the newest admission in a
 heap whose stored counts are lower bounds; the newest admission waits
 in a pending slot, and since it loses every count tie it is the usual
 victim, evicted without a heap operation.
+
+:func:`replay` turns a whole request array into hit flags. LFU replays
+call ``CacheState.access`` once per request. LRU needs no cache object:
+it is a stack algorithm, so a request hits exactly when the previous
+request for its rank is among the last requests of the ``C`` most
+recently used ranks, and one forward walk over the previous and next
+position of every request's rank finds the oldest of those. ``LruCache``
+is the incremental form of the same policy and the reference the walk
+is tested against.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from heapq import heappush, heapreplace
+
+import numpy as np
 
 POLICIES = ("session_lfu", "lru", "lfu_classic")
 
@@ -148,3 +159,57 @@ def make_policy(policy: str, capacity: int):
         return CacheState(capacity)
     raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
 
+
+def replay(policy: str, requests: np.ndarray, capacity: int) -> np.ndarray:
+    """Replay ``requests`` through a fresh cache; one hit flag per request.
+
+    LFU names run ``CacheState.access`` on each request. ``lru`` walks
+    the trace once over ``prev[i]`` and ``next[i]``, the previous and
+    next positions of request ``i``'s rank (-1 and ``len(requests)``
+    when there is none):
+
+    - Up to ``fill``, where the ``capacity``-th distinct rank arrives,
+      nothing is evicted, so a request hits iff ``prev[i] >= 0``.
+    - After ``fill`` the cache holds exactly the ranks whose last
+      request lies at or after position ``b``, itself the least recent
+      of those last requests. Request ``i`` misses iff ``prev[i] < b``;
+      a miss evicts the rank last requested at ``b``, so ``b`` moves
+      on. After every request ``b`` skips the positions whose rank has
+      been requested again since.
+    """
+    if policy != "lru":
+        access = make_policy(policy, capacity).access
+        return np.fromiter((access(r)[0] for r in requests.tolist()),
+                           dtype=bool, count=requests.size)
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    total = requests.size
+    # the narrowest type that holds every rank: at 16 bits or fewer
+    # numpy's stable sort is a radix sort
+    keys = requests.astype(np.promote_types(
+        np.min_scalar_type(requests.min(initial=0)),
+        np.min_scalar_type(requests.max(initial=0))))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    later, earlier = order[1:][same], order[:-1][same]
+    index_type = np.int32 if total < 2**31 else np.int64
+    prev = np.full(total, -1, dtype=index_type)
+    prev[later] = earlier
+    next_ = np.full(total, total, dtype=index_type)
+    next_[earlier] = later
+    flags = prev >= 0
+    firsts = np.flatnonzero(~flags)
+    if firsts.size <= capacity:
+        return flags                      # never full: nothing is evicted
+    fill = int(firsts[capacity - 1])
+    b = int(np.argmax(next_[:fill + 1] > fill))
+    prev_at, next_at, hit_at = (memoryview(prev), memoryview(next_),
+                                memoryview(flags))
+    for i in range(fill + 1, total):
+        if prev_at[i] < b:
+            hit_at[i] = False
+            b += 1
+        while next_at[b] <= i:        # stops at i at the latest
+            b += 1
+    return flags

@@ -226,6 +226,8 @@ def cmd_gen(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require(sub, args, "capacity", "seed", "out-dir")
+    if args.compare and args.trace is not None:
+        sub.error("--compare requires generation flags, not --trace")
     if args.trace is None:
         _require(sub, args, "objects", "requests", "alpha")
         config = SimConfig(
@@ -235,7 +237,6 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             size_range=args.sizes, time_range=args.times, k=args.k,
             rate_convention=args.rate)
         report = run_simulation(config)
-        compare_config = config
     else:
         workload = load_trace(args.trace)
         attrs = assign_attributes(workload.n_objects, args.sizes, args.times,
@@ -251,13 +252,8 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         }
         report = simulate_workload(workload, attrs, args.capacity,
                                    args.policy, args.k, args.rate, echo)
-        compare_config = None
 
-    comparison = None
-    if args.compare:
-        if compare_config is None:
-            sub.error("--compare requires generation flags, not --trace")
-        comparison = compare_run(compare_config, report)
+    comparison = compare_run(config, report) if args.compare else None
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.csv")

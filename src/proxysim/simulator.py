@@ -19,11 +19,11 @@ import numpy as np
 
 from .analytics import (BandwidthParams, aggregate_bandwidth, per_rank_rate,
                         top_c_mass)
-from .cache import POLICIES, make_policy
+from .cache import POLICIES, replay
 from .popularity import ZipfCatalog, build_catalog
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
                        DEFAULT_TIME_RANGE, ObjectAttributes, Workload,
-                       assign_attributes, generate_workload)
+                       assign_attributes, generate_workload, rank_histogram)
 
 DEFAULT_ALPHAS = (0.98, 0.75, 0.64, 0.51, 0.41, 0.31)
 
@@ -160,13 +160,10 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
     workload comes from a trace file instead of a seed.
     """
     BandwidthParams(k, capacity, rate_convention)
-    cache = make_policy(policy, capacity)
-    access = cache.access
-    flags = np.fromiter((access(r)[0] for r in workload.requests.tolist()),
-                        dtype=bool, count=workload.total_requests)
-    n = workload.n_objects
-    requests = np.bincount(workload.requests, minlength=n + 1)[1:]
-    hits = np.bincount(workload.requests[flags], minlength=n + 1)[1:]
+    flags = replay(policy, workload.requests, capacity)
+    requests = rank_histogram(workload)
+    hits = np.bincount(workload.requests[flags],
+                       minlength=workload.n_objects + 1)[1:]
     misses = requests - hits
     imported = k * misses * per_rank_rate(attrs.sizes, attrs.channel_times,
                                           rate_convention)

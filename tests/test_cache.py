@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proxysim.cache import CacheState, make_policy
+from proxysim.cache import CacheState, make_policy, replay
 from proxysim.popularity import build_catalog
 from proxysim.simulator import simulate_workload
 from proxysim.workload import Workload, assign_attributes, generate_workload
@@ -266,15 +266,34 @@ def test_lru_brute_force_equivalence_random_traces():
         ranks = rng.integers(1, n + 1, size=int(rng.integers(1, 51))).tolist()
         cache = make_policy("lru", capacity)
         ref = ReferenceLru(capacity)
-        assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
+        expected = _outcomes(ref, ranks)
+        assert _outcomes(cache, ranks) == expected
+        assert replay("lru", np.array(ranks), capacity).tolist() == [
+            hit for hit, _ in expected]
 
 
+# 200 and 1000 are at or above the number of distinct ranks, so nothing
+# is evicted; in "fill_last" the capacity-th distinct rank comes last
 @pytest.mark.parametrize("alpha", [0.98, 0.31])
-@pytest.mark.parametrize("capacity", [1, 2, 10, 50])
+@pytest.mark.parametrize("capacity", [1, 2, 10, 50, 200, 1000,
+                                      pytest.param(None, id="fill_last")])
 def test_lru_brute_force_equivalence_zipf_traces(alpha, capacity):
     ranks = generate_workload(build_catalog(200, alpha), 5000, 5000,
-                              seed=capacity).requests.tolist()
+                              seed=capacity or 0).requests.tolist()
+    if capacity is None:
+        capacity = len(set(ranks)) + 1
+        ranks.append(201)                 # a rank outside the catalog
     cache = make_policy("lru", capacity)
     ref = ReferenceLru(capacity)
-    assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
+    expected = _outcomes(ref, ranks)
+    assert _outcomes(cache, ranks) == expected
     assert list(cache._map) == ref.order
+    assert replay("lru", np.array(ranks), capacity).tolist() == [
+        hit for hit, _ in expected]
+
+
+@pytest.mark.parametrize("policy", ["session_lfu", "lru", "lfu_classic"])
+def test_replay_one_request(policy):
+    assert replay(policy, np.array([3]), 1).tolist() == [False]
+    with pytest.raises(ValueError):
+        replay(policy, np.array([3]), 0)

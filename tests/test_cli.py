@@ -103,6 +103,16 @@ def test_run_unreadable_trace_writes_nothing(tmp_path):
     assert not (out_dir / "summary.json").exists()
 
 
+def test_run_compare_with_trace_rejected_before_reading(tmp_path, capsys):
+    # a usage error, raised before the (missing) trace is opened
+    out_dir = tmp_path / "run"
+    assert main(["run", "--trace", str(tmp_path / "missing.trace"),
+                 "--capacity", "1", "--seed", "3", "--compare",
+                 "--out-dir", str(out_dir)]) == 2
+    assert "--compare requires generation flags" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_compare_table(tmp_path):
     out_dir = tmp_path / "run"
     assert main(["run", "--objects", "50", "--requests", "2000",
