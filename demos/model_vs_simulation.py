@@ -21,15 +21,14 @@ config = SimConfig(
 
 print("N=1000 alpha=0.98 R=300000 lfu_classic, cold start")
 print(f"{'C':>6} {'sim hit':>9} {'top-C mass':>11} {'gap':>8}")
-for row in compare_analytic(config):
+rows = compare_analytic(config)
+for row in rows:
     print(f"{row.capacity:>6} {row.simulated_hit_ratio:>9.4f} "
           f"{row.top_c_mass:>11.4f} {row.gap:>8.4f}")
 
 print()
-print("bandwidth view of the largest run (model vs tally, both unit k):")
-row = compare_analytic(SimConfig(
-    n_objects=1000, alpha=0.98, total_requests=300000,
-    cache_capacity=100, seed=11, policy="lfu_classic"))[0]
+print("bandwidth view of the C=100 run (model vs tally, both unit k):")
+row = next(row for row in rows if row.capacity == 100)
 print(f"  simulated imported bandwidth {row.sim_bandwidth:.3e}")
 print(f"  model, size*time convention  {row.model_bandwidth_product:.3e}")
 print(f"  model, size/time convention  {row.model_bandwidth_ratio:.3e}")

@@ -29,8 +29,8 @@ def policy_scoreboard():
     attrs = assign_attributes(cat.n_objects, seed=7)
     print("N=2000 alpha=0.98, R=200000, C=50")
     for policy in ("session_lfu", "lru", "lfu_classic"):
-        report = simulate_workload(workload, attrs, 50, policy, 1.0,
-                                   "product", {})
+        report, = simulate_workload(workload, attrs, [50], policy, 1.0,
+                                    "product", {})
         print(f"  {policy:12s} hit ratio {report.hit_ratio:.4f}")
     print()
     print("session_lfu and lfu_classic are the same replacement scheme, so")

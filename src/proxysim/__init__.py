@@ -4,7 +4,7 @@ from .analytics import (BandwidthParams, ModelReport, aggregate_bandwidth,
                         bandwidth_per_rank, hit_miss_on_demand,
                         miss_probability, model_report, top_c_mass,
                         top_c_mass_asymptotic)
-from .cache import POLICIES, CacheState, LruCache, make_policy
+from .cache import POLICIES, CacheState
 from .popularity import (ComplexExponent, ZipfCatalog, build_catalog,
                          generalized_harmonic, power_modulus, probability,
                          sample_ranks, zeta_partial_terms)
@@ -19,13 +19,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandwidthParams", "CacheState", "CapacityComparison", "ComplexExponent",
-    "DEFAULT_ALPHAS", "LruCache", "ModelReport", "ObjectAttributes",
-    "POLICIES", "SimConfig", "SimReport", "TraceParseError", "Workload",
-    "ZipfCatalog", "aggregate_bandwidth", "assign_attributes",
-    "bandwidth_per_rank", "build_catalog", "compare_analytic",
-    "fit_power_law", "generalized_harmonic", "generate_workload",
-    "hit_miss_on_demand", "load_trace", "make_policy", "miss_probability",
-    "model_report", "power_modulus", "probability", "rank_histogram",
-    "run_simulation", "sample_ranks", "save_trace", "simulate_workload",
-    "sweep", "top_c_mass", "top_c_mass_asymptotic", "zeta_partial_terms",
+    "DEFAULT_ALPHAS", "ModelReport", "ObjectAttributes", "POLICIES",
+    "SimConfig", "SimReport", "TraceParseError", "Workload", "ZipfCatalog",
+    "aggregate_bandwidth", "assign_attributes", "bandwidth_per_rank",
+    "build_catalog", "compare_analytic", "fit_power_law",
+    "generalized_harmonic", "generate_workload", "hit_miss_on_demand",
+    "load_trace", "miss_probability", "model_report", "power_modulus",
+    "probability", "rank_histogram", "run_simulation", "sample_ranks",
+    "save_trace", "simulate_workload", "sweep", "top_c_mass",
+    "top_c_mass_asymptotic", "zeta_partial_terms",
 ]

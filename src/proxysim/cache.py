@@ -8,26 +8,27 @@ re-admitted resumes from its accumulated count, so sustained popularity
 wins out over recency of insertion. The policy names ``session_lfu``
 and ``lfu_classic`` both select this cache: the state depends only on
 request order, so sessions are bookkeeping. Plain LRU is the recency
-baseline with the same access interface.
+baseline.
 
 The LFU victim search keeps every resident but the newest admission in a
 heap whose stored counts are lower bounds; the newest admission waits
 in a pending slot, and since it loses every count tie it is the usual
 victim, evicted without a heap operation.
 
-:func:`replay` turns a whole request array into hit flags. LFU replays
-call ``CacheState.access`` once per request. LRU needs no cache object:
-it is a stack algorithm, so a request hits exactly when the previous
-request for its rank is among the last requests of the ``C`` most
-recently used ranks, and one forward walk over the previous and next
-position of every request's rank finds the oldest of those. ``LruCache``
-is the incremental form of the same policy and the reference the walk
-is tested against.
+:func:`replay` is the one entry point for a whole request array: it
+returns the hit flags of a fresh cache at each of several capacities.
+LFU replays call ``CacheState.access`` once per request and capacity.
+LRU needs no cache object: it is a stack algorithm, so a request hits
+exactly when the previous request for its rank is among the last
+requests of the ``C`` most recently used ranks. The previous and next
+position of every request's rank are found once, and one forward walk
+over them per capacity finds the oldest of those last requests.
+``CacheState`` can also be driven one request at a time.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections.abc import Sequence
 from heapq import heappush, heapreplace
 
 import numpy as np
@@ -124,49 +125,16 @@ class CacheState:
         return False, evicted
 
 
-class LruCache:
-    """Least-recently-used baseline with the same access interface."""
+def replay(policy: str, requests: np.ndarray,
+           capacities: Sequence[int]) -> list[np.ndarray]:
+    """Replay ``requests`` through a fresh cache of each capacity in
+    ``capacities``; one array of hit flags, one per request, for each.
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._map: OrderedDict[int, None] = OrderedDict()
-
-    def __contains__(self, rank: int) -> bool:
-        return rank in self._map
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def access(self, rank: int) -> tuple[bool, int | None]:
-        m = self._map
-        if rank in m:
-            m.move_to_end(rank)
-            return True, None
-        evicted = None
-        if len(m) >= self.capacity:
-            evicted, _ = m.popitem(last=False)
-        m[rank] = None
-        return False, evicted
-
-
-def make_policy(policy: str, capacity: int):
-    """Instantiate the cache object behind a policy name."""
-    if policy == "lru":
-        return LruCache(capacity)
-    if policy in ("session_lfu", "lfu_classic"):
-        return CacheState(capacity)
-    raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-
-
-def replay(policy: str, requests: np.ndarray, capacity: int) -> np.ndarray:
-    """Replay ``requests`` through a fresh cache; one hit flag per request.
-
-    LFU names run ``CacheState.access`` on each request. ``lru`` walks
-    the trace once over ``prev[i]`` and ``next[i]``, the previous and
-    next positions of request ``i``'s rank (-1 and ``len(requests)``
-    when there is none):
+    LFU names run ``CacheState.access`` on each request, once per
+    capacity. ``lru`` finds ``prev[i]`` and ``next[i]``, the previous
+    and next positions of request ``i``'s rank (-1 and
+    ``len(requests)`` when there is none), once for all capacities and
+    walks the trace once per capacity:
 
     - Up to ``fill``, where the ``capacity``-th distinct rank arrives,
       nothing is evicted, so a request hits iff ``prev[i] >= 0``.
@@ -177,12 +145,19 @@ def replay(policy: str, requests: np.ndarray, capacity: int) -> np.ndarray:
       on. After every request ``b`` skips the positions whose rank has
       been requested again since.
     """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    for capacity in capacities:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
     if policy != "lru":
-        access = make_policy(policy, capacity).access
-        return np.fromiter((access(r)[0] for r in requests.tolist()),
-                           dtype=bool, count=requests.size)
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
+        ranks = requests.tolist()
+        lfu_flags = []
+        for capacity in capacities:
+            access = CacheState(capacity).access
+            lfu_flags.append(np.fromiter((access(r)[0] for r in ranks),
+                                         dtype=bool, count=requests.size))
+        return lfu_flags
     total = requests.size
     # the narrowest type that holds every rank: at 16 bits or fewer
     # numpy's stable sort is a radix sort
@@ -198,18 +173,22 @@ def replay(policy: str, requests: np.ndarray, capacity: int) -> np.ndarray:
     prev[later] = earlier
     next_ = np.full(total, total, dtype=index_type)
     next_[earlier] = later
-    flags = prev >= 0
-    firsts = np.flatnonzero(~flags)
-    if firsts.size <= capacity:
-        return flags                      # never full: nothing is evicted
-    fill = int(firsts[capacity - 1])
-    b = int(np.argmax(next_[:fill + 1] > fill))
-    prev_at, next_at, hit_at = (memoryview(prev), memoryview(next_),
-                                memoryview(flags))
-    for i in range(fill + 1, total):
-        if prev_at[i] < b:
-            hit_at[i] = False
-            b += 1
-        while next_at[b] <= i:        # stops at i at the latest
-            b += 1
-    return flags
+    repeats = prev >= 0
+    firsts = np.flatnonzero(~repeats)
+    prev_at, next_at = memoryview(prev), memoryview(next_)
+    lru_flags = []
+    for capacity in capacities:
+        flags = repeats.copy()
+        lru_flags.append(flags)
+        if firsts.size <= capacity:
+            continue                      # never full: nothing is evicted
+        fill = int(firsts[capacity - 1])
+        b = int(np.argmax(next_[:fill + 1] > fill))
+        hit_at = memoryview(flags)
+        for i in range(fill + 1, total):
+            if prev_at[i] < b:
+                hit_at[i] = False
+                b += 1
+            while next_at[b] <= i:        # stops at i at the latest
+                b += 1
+    return lru_flags

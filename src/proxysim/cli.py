@@ -20,6 +20,8 @@ from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
                        load_trace, save_trace)
 
 ESTIMATE_MODES = ("exact", "paper", "corrected")
+# spellings a config file may give a boolean flag
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def _float_pair(text: str) -> tuple[float, float]:
@@ -187,11 +189,16 @@ def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
         if action is None:
             raise ValueError(f"{path}: unknown config key {key!r}")
         if isinstance(action, argparse._StoreTrueAction):
-            defaults[key] = value.lower() in ("1", "true", "yes")
-        elif action.type is not None:
-            defaults[key] = action.type(value)
+            if value.lower() not in _TRUE + _FALSE:
+                raise ValueError(f"{path}: {key}={value!r} is not a boolean; "
+                                 f"use one of {', '.join(_TRUE + _FALSE)}")
+            defaults[key] = value.lower() in _TRUE
         else:
-            defaults[key] = value
+            converted = value if action.type is None else action.type(value)
+            if action.choices is not None and converted not in action.choices:
+                raise ValueError(f"{path}: {key}={value!r} is not one of "
+                                 f"{', '.join(action.choices)}")
+            defaults[key] = converted
     sub.set_defaults(**defaults)
 
 
@@ -250,10 +257,10 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "time_range": list(args.times), "k": args.k,
             "rate_convention": args.rate,
         }
-        report = simulate_workload(workload, attrs, args.capacity,
-                                   args.policy, args.k, args.rate, echo)
+        report = simulate_workload(workload, attrs, [args.capacity],
+                                   args.policy, args.k, args.rate, echo)[0]
 
-    comparison = compare_run(config, report) if args.compare else None
+    comparison = compare_run(config, [report]) if args.compare else None
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.csv")

@@ -1,9 +1,10 @@
 """Trace-driven simulation runs, sweeps, and model-vs-measurement tables.
 
 A run draws a workload and attribute table from one seed, replays it
-through a cache policy, and tallies per-rank requests, hits, misses,
-and the bandwidth imported on misses. Sweeps fan out over alpha and
-capacity lists with per-point seeds derived from the base seed, and the
+through a cache policy at one or more capacities, and tallies per-rank
+requests, hits, misses, and the bandwidth imported on misses. Sweeps
+fan out over the alpha list with one seed per alpha derived from the
+base seed, each alpha's workload serving every capacity, and the
 comparison table puts measured hit ratios next to the closed-form
 top-rank mass they should track.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -20,7 +22,7 @@ import numpy as np
 from .analytics import (BandwidthParams, aggregate_bandwidth, per_rank_rate,
                         top_c_mass)
 from .cache import POLICIES, replay
-from .popularity import ZipfCatalog, build_catalog
+from .popularity import build_catalog
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
                        DEFAULT_TIME_RANGE, ObjectAttributes, Workload,
                        assign_attributes, generate_workload, rank_histogram)
@@ -120,65 +122,72 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
             int(a.generate_state(1, np.uint32)[0]))
 
 
-def _build_inputs(config: SimConfig, alpha: float
-                  ) -> tuple[ZipfCatalog, Workload, ObjectAttributes, dict]:
+def simulate_workload(workload: Workload, attrs: ObjectAttributes,
+                      capacities: Sequence[int], policy: str, k: float,
+                      rate_convention: str,
+                      config_echo: dict) -> list[SimReport]:
+    """Replay an existing workload at each capacity and tally the
+    outcome; one report per capacity, in order.
+
+    Each report's config echo is ``config_echo`` with
+    ``cache_capacity`` set to its capacity. This is the building block
+    behind :func:`run_simulation` and :func:`sweep`, also used when a
+    workload comes from a trace file instead of a seed.
+    """
+    for capacity in capacities:
+        BandwidthParams(k, capacity, rate_convention)
+    requests = rank_histogram(workload)
+    rate = per_rank_rate(attrs.sizes, attrs.channel_times, rate_convention)
+    total = workload.total_requests
+    reports = []
+    for capacity, flags in zip(capacities,
+                               replay(policy, workload.requests, capacities)):
+        hits = np.bincount(workload.requests[flags],
+                           minlength=workload.n_objects + 1)[1:]
+        misses = requests - hits
+        imported = k * misses * rate
+        hit_ratio = float(hits.sum()) / total
+        reports.append(SimReport(
+            requests=requests,
+            hits=hits,
+            misses=misses,
+            imported_bandwidth=imported,
+            hit_ratio=hit_ratio,
+            miss_ratio=1.0 - hit_ratio,
+            total_bandwidth=float(imported.sum()),
+            config={**config_echo, "cache_capacity": capacity},
+        ))
+    return reports
+
+
+def _simulate_alpha(config: SimConfig) -> list[SimReport]:
+    """Draw the catalog, workload and attribute table of the config's
+    scalar alpha once and replay them at each of its capacities."""
+    if isinstance(config.alpha, (tuple, list)):
+        raise ValueError("needs a scalar alpha; use sweep() for lists")
     workload_seed, attr_seed = _derived_seeds(config.seed)
-    catalog = build_catalog(config.n_objects, alpha)
+    catalog = build_catalog(config.n_objects, config.alpha)
     workload = generate_workload(catalog, config.total_requests,
                                  config.session_size, workload_seed)
     attrs = assign_attributes(config.n_objects, config.size_range,
                               config.time_range, attr_seed)
-    return catalog, workload, attrs, {
-        "workload_seed": workload_seed, "attr_seed": attr_seed}
-
-
-def _config_echo(config: SimConfig, alpha: float, capacity: int,
-                 derived: dict) -> dict:
-    return {
+    echo = {
         "n_objects": config.n_objects,
-        "alpha": alpha,
+        "alpha": config.alpha,
         "total_requests": config.total_requests,
         "session_size": config.session_size,
-        "cache_capacity": capacity,
         "policy": config.policy,
         "seed": config.seed,
-        "workload_seed": derived["workload_seed"],
-        "attr_seed": derived["attr_seed"],
+        "workload_seed": workload_seed,
+        "attr_seed": attr_seed,
         "size_range": list(config.size_range),
         "time_range": list(config.time_range),
         "k": config.k,
         "rate_convention": config.rate_convention,
     }
-
-
-def simulate_workload(workload: Workload, attrs: ObjectAttributes,
-                      capacity: int, policy: str, k: float,
-                      rate_convention: str, config_echo: dict) -> SimReport:
-    """Replay an existing workload and tally the outcome.
-
-    The building block behind :func:`run_simulation`, also used when a
-    workload comes from a trace file instead of a seed.
-    """
-    BandwidthParams(k, capacity, rate_convention)
-    flags = replay(policy, workload.requests, capacity)
-    requests = rank_histogram(workload)
-    hits = np.bincount(workload.requests[flags],
-                       minlength=workload.n_objects + 1)[1:]
-    misses = requests - hits
-    imported = k * misses * per_rank_rate(attrs.sizes, attrs.channel_times,
-                                          rate_convention)
-    total = workload.total_requests
-    hit_ratio = float(hits.sum()) / total
-    return SimReport(
-        requests=requests,
-        hits=hits,
-        misses=misses,
-        imported_bandwidth=imported,
-        hit_ratio=hit_ratio,
-        miss_ratio=1.0 - hit_ratio,
-        total_bandwidth=float(imported.sum()),
-        config=config_echo,
-    )
+    return simulate_workload(workload, attrs, config.capacities,
+                             config.policy, config.k, config.rate_convention,
+                             echo)
 
 
 def run_simulation(config: SimConfig) -> SimReport:
@@ -186,13 +195,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     if config.is_sweep:
         raise ValueError("run_simulation needs scalar alpha and capacity; "
                          "use sweep() for lists")
-    alpha = config.alphas[0]
-    capacity = config.capacities[0]
-    catalog, workload, attrs, derived = _build_inputs(config, alpha)
-    return simulate_workload(
-        workload, attrs, capacity, config.policy, config.k,
-        config.rate_convention, _config_echo(config, alpha, capacity,
-                                             derived))
+    return _simulate_alpha(config)[0]
 
 
 def _available_cpus() -> int:
@@ -206,89 +209,80 @@ def _available_cpus() -> int:
 def sweep(config: SimConfig) -> list[SimReport]:
     """Run the cross-product of the config's alpha and capacity lists.
 
-    Sweep point ``i`` runs with seed ``config.seed ^ i`` so points are
-    independent yet reproducible; the effective seed lands in each
-    report's config echo. Points share nothing, so they run in worker
-    processes, at most one per available CPU; reports come back in
-    point order and do not depend on the worker count. If a point
-    raises, the pending points are cancelled and its exception is
-    re-raised here.
+    Each alpha draws one workload and replays it at every capacity, so
+    the capacities of one alpha share their random numbers. The alpha
+    at index ``i`` runs with seed ``config.seed ^ i``, so alphas are
+    independent yet reproducible, and every point equals
+    :func:`run_simulation` at its capacity and the seed its config
+    echo records. Alphas share nothing, so they run in worker
+    processes, at most one per available CPU; reports come back
+    alpha-major in the order of the config's lists and do not depend
+    on the worker count. If an alpha raises, the pending ones are
+    cancelled and its exception is re-raised here.
     """
     if not config.is_sweep:
         raise ValueError("sweep needs a list-valued alpha or cache_capacity")
-    grid = [(alpha, capacity) for alpha in config.alphas
-            for capacity in config.capacities]
-    points = [replace(config, alpha=alpha, cache_capacity=capacity,
-                      seed=config.seed ^ index)
-              for index, (alpha, capacity) in enumerate(grid)]
-    workers = min(len(points), _available_cpus())
+    tasks = [replace(config, alpha=alpha, seed=config.seed ^ index)
+             for index, alpha in enumerate(config.alphas)]
+    workers = min(len(tasks), _available_cpus())
     if workers == 1:
-        return list(map(run_simulation, points))
-    # imported here so that importing the package does not pay for it
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers)
-    try:
-        return list(pool.map(run_simulation, points))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _comparison_row(catalog: ZipfCatalog, attrs: ObjectAttributes, k: float,
-                    capacity: int, report: SimReport) -> CapacityComparison:
-    """Put one replay at ``capacity`` next to the closed-form model."""
-    mass = top_c_mass(catalog, capacity)
-    model = {
-        conv: aggregate_bandwidth(
-            attrs,
-            BandwidthParams(k=k, cache_capacity=capacity,
-                            rate_convention=conv),
-            catalog, catalog.n_objects)
-        for conv in ("product", "ratio")
-    }
-    return CapacityComparison(
-        capacity=capacity,
-        simulated_hit_ratio=report.hit_ratio,
-        top_c_mass=mass,
-        gap=abs(report.hit_ratio - mass),
-        sim_bandwidth=report.total_bandwidth,
-        model_bandwidth_product=model["product"],
-        model_bandwidth_ratio=model["ratio"],
-    )
-
-
-def compare_analytic(config: SimConfig) -> list[CapacityComparison]:
-    """Measure hit ratios against the closed-form top-rank mass.
-
-    One row per capacity in the config: the simulated hit ratio, the
-    exact mass of the top ``C`` ranks, their absolute gap, and the
-    simulated total imported bandwidth next to the model's aggregate
-    under both rate conventions.
-    """
-    if isinstance(config.alpha, (tuple, list)):
-        raise ValueError("compare_analytic needs a scalar alpha")
-    catalog, workload, attrs, _ = _build_inputs(config, config.alphas[0])
-    return [
-        _comparison_row(catalog, attrs, config.k, capacity,
-                        simulate_workload(workload, attrs, capacity,
-                                          config.policy, config.k,
-                                          config.rate_convention, {}))
-        for capacity in config.capacities
-    ]
+        per_alpha = list(map(_simulate_alpha, tasks))
+    else:
+        # imported here so that importing the package does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers)
+        try:
+            per_alpha = list(pool.map(_simulate_alpha, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [report for reports in per_alpha for report in reports]
 
 
 def compare_run(config: SimConfig,
-                report: SimReport) -> list[CapacityComparison]:
-    """The :func:`compare_analytic` table of a scalar config, built from
-    the report ``run_simulation(config)`` returned instead of a second
-    replay; only the cheap catalog and attribute table are rebuilt."""
-    if config.is_sweep:
-        raise ValueError("compare_run needs scalar alpha and capacity")
+                reports: list[SimReport]) -> list[CapacityComparison]:
+    """Put each report of the config's scalar alpha next to the
+    closed-form model, one row per report.
+
+    A row holds the report's capacity, its hit ratio, the exact mass of
+    the top ``C`` ranks, their absolute gap, and the report's total
+    imported bandwidth next to the model's aggregate under both rate
+    conventions. Only the catalog and attribute table are rebuilt.
+    """
+    if isinstance(config.alpha, (tuple, list)):
+        raise ValueError("compare_run needs a scalar alpha")
     _, attr_seed = _derived_seeds(config.seed)
-    catalog = build_catalog(config.n_objects, config.alphas[0])
+    catalog = build_catalog(config.n_objects, config.alpha)
     attrs = assign_attributes(config.n_objects, config.size_range,
                               config.time_range, attr_seed)
-    return [_comparison_row(catalog, attrs, config.k, config.capacities[0],
-                            report)]
+    rows = []
+    for report in reports:
+        capacity = report.config["cache_capacity"]
+        mass = top_c_mass(catalog, capacity)
+        model = {
+            conv: aggregate_bandwidth(
+                attrs,
+                BandwidthParams(k=config.k, cache_capacity=capacity,
+                                rate_convention=conv),
+                catalog, catalog.n_objects)
+            for conv in ("product", "ratio")
+        }
+        rows.append(CapacityComparison(
+            capacity=capacity,
+            simulated_hit_ratio=report.hit_ratio,
+            top_c_mass=mass,
+            gap=abs(report.hit_ratio - mass),
+            sim_bandwidth=report.total_bandwidth,
+            model_bandwidth_product=model["product"],
+            model_bandwidth_ratio=model["ratio"],
+        ))
+    return rows
+
+
+def compare_analytic(config: SimConfig) -> list[CapacityComparison]:
+    """Measure hit ratios against the closed-form top-rank mass: the
+    :func:`compare_run` table of one replay of the config's scalar alpha
+    at each of its capacities."""
+    return compare_run(config, _simulate_alpha(config))
 
 
 def fit_power_law(counts, max_rank: int) -> tuple[float, float]:

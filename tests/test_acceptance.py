@@ -14,12 +14,12 @@ import numpy as np
 from scipy import stats
 
 from proxysim.analytics import top_c_mass
-from proxysim.cache import CacheState, make_policy
+from proxysim.cache import CacheState
 from proxysim.cli import main as cli_main
 from proxysim.popularity import (ComplexExponent, build_catalog,
                                  zeta_partial_terms)
 from proxysim.simulator import (SimConfig, fit_power_law, run_simulation,
-                                write_report_csv, write_summary_json)
+                                sweep, write_report_csv, write_summary_json)
 from proxysim.workload import assign_attributes, generate_workload, rank_histogram
 
 ZETA2_MINUS_ONE = np.pi ** 2 / 6.0 - 1.0
@@ -105,12 +105,10 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_log_like_hit_ratio_growth():
     capacities = (10, 32, 100, 316, 1000)
-    ratios = []
-    for c in capacities:
-        config = SimConfig(n_objects=10000, alpha=0.98,
-                           total_requests=1000000, cache_capacity=c,
-                           seed=5, policy="lfu_classic")
-        ratios.append(run_simulation(config).hit_ratio)
+    # one alpha: one seed-5 workload replayed at every capacity
+    ratios = [report.hit_ratio for report in sweep(SimConfig(
+        n_objects=10000, alpha=0.98, total_requests=1000000,
+        cache_capacity=capacities, seed=5, policy="lfu_classic"))]
     fit = stats.linregress(np.log10(capacities), ratios)
     r2 = float(fit.rvalue) ** 2
     ok = r2 >= 0.95 and fit.slope > 0
@@ -196,12 +194,11 @@ def test_criterion_8_invariant_suites(tmp_path):
         if int(report.requests.sum()) != config.total_requests:
             problems.append(("conservation-total", seed))
 
-    # capacity safety after every access
+    # capacity safety of the LFU cache after every access
     for seed in range(100):
         rng = np.random.default_rng(30000 + seed)
         capacity = int(rng.integers(1, 8))
-        cache = make_policy(("session_lfu", "lru", "lfu_classic")[seed % 3],
-                            capacity)
+        cache = CacheState(capacity)
         for r in rng.integers(1, 12, size=200).tolist():
             cache.access(r)
             if len(cache) > capacity:

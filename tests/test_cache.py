@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proxysim.cache import CacheState, make_policy, replay
+from proxysim.cache import CacheState, replay
 from proxysim.popularity import build_catalog
 from proxysim.simulator import simulate_workload
 from proxysim.workload import Workload, assign_attributes, generate_workload
@@ -63,11 +63,24 @@ def _outcomes(cache, ranks):
     return [cache.access(r) for r in ranks]
 
 
+def _hits(reference, ranks):
+    """The reference's hit flag for each request."""
+    return [hit for hit, _ in _outcomes(reference, ranks)]
+
+
+def _assert_replay_matches(policy, reference, ranks, capacities):
+    """``replay`` at every capacity equals a fresh reference cache."""
+    flags = replay(policy, np.array(ranks), capacities)
+    assert len(flags) == len(capacities)
+    for capacity, hits in zip(capacities, flags):
+        assert hits.tolist() == _hits(reference(capacity), ranks), capacity
+
+
 def _replay(policy, capacity, workload):
     """Per-rank request and hit tallies of one ``simulate_workload`` run."""
     attrs = assign_attributes(workload.n_objects, seed=0)
-    report = simulate_workload(workload, attrs, capacity, policy, 1.0,
-                               "product", {})
+    report, = simulate_workload(workload, attrs, [capacity], policy, 1.0,
+                                "product", {})
     return report.requests.tolist(), report.hits.tolist()
 
 
@@ -133,9 +146,12 @@ def test_outcome_eviction_implies_miss():
 
 
 def test_single_object_one_cold_miss():
+    expected = [(False, None)] + [(True, None)] * 19
+    assert _outcomes(CacheState(1), [1] * 20) == expected
+    assert _outcomes(ReferenceLru(1), [1] * 20) == expected
     for policy in ("session_lfu", "lru", "lfu_classic"):
-        out = _outcomes(make_policy(policy, 1), [1] * 20)
-        assert out == [(False, None)] + [(True, None)] * 19
+        assert replay(policy, np.ones(20, dtype=np.int64),
+                      [1])[0].tolist() == [False] + [True] * 19
 
 
 def test_lfu_classic_equals_session_size_one():
@@ -158,16 +174,25 @@ def test_session_partition_does_not_change_outcomes():
 
 def test_lru_differs_from_lfu_where_expected():
     # after [1,1,2], request 3 with C=2: LRU drops 1, LFU drops 2
-    lru_out = _outcomes(make_policy("lru", 2), [1, 1, 2, 3])
-    lfu_out = _outcomes(make_policy("lfu_classic", 2), [1, 1, 2, 3])
+    lru_out = _outcomes(ReferenceLru(2), [1, 1, 2, 3])
+    lfu_out = _outcomes(CacheState(2), [1, 1, 2, 3])
     assert lru_out[3] == (False, 1)
     assert lfu_out[3] == (False, 2)
+    # a request for 1 now tells them apart: LRU misses, LFU hits
+    ranks = [1, 1, 2, 3, 1]
+    assert not replay("lru", np.array(ranks), [2])[0][4]
+    assert replay("lfu_classic", np.array(ranks), [2])[0][4]
+    _assert_replay_matches("lru", ReferenceLru, ranks, [2])
 
 
 def test_lru_recency_order():
-    out = _outcomes(make_policy("lru", 2), [1, 2, 1, 3])
+    ranks = [1, 2, 1, 3, 2, 1]
+    out = _outcomes(ReferenceLru(2), ranks)
     # rank 1 touched after 2, so 2 is the LRU victim
     assert out[3] == (False, 2)
+    assert replay("lru", np.array(ranks), [2])[0].tolist() == [
+        False, False, True, False, False, False]
+    _assert_replay_matches("lru", ReferenceLru, ranks, [1, 2, 3])
 
 
 def test_monotone_warm_up_never_evicts():
@@ -184,11 +209,10 @@ def test_capacity_safety_random_traces():
         capacity = int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         ranks = rng.integers(1, n + 1, size=50)
-        for policy in ("session_lfu", "lru", "lfu_classic"):
-            cache = make_policy(policy, capacity)
-            for r in ranks.tolist():
-                cache.access(r)
-                assert len(cache) <= capacity
+        cache = CacheState(capacity)
+        for r in ranks.tolist():
+            cache.access(r)
+            assert len(cache) <= capacity
 
 
 def test_resident_count_and_seq_invariants():
@@ -213,7 +237,7 @@ def test_unknown_policy_rejected():
     with pytest.raises(ValueError):
         _replay("mru", 2, w)
     with pytest.raises(ValueError):
-        make_policy("nosuch", 2)
+        replay("nosuch", np.array([1]), [2])
 
 
 def test_brute_force_equivalence_random_traces():
@@ -229,6 +253,8 @@ def test_brute_force_equivalence_random_traces():
         assert set(cache.entries) == set(ref.resident)
         for rank, (count, _) in cache.entries.items():
             assert count == ref.counts[rank]
+        _assert_replay_matches("session_lfu", ReferenceCache, ranks,
+                               [capacity, 1, n])
 
 
 def test_brute_force_equivalence_with_warm_start():
@@ -256,6 +282,9 @@ def test_brute_force_equivalence_zipf_traces(alpha, capacity, warm):
     assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
     assert cache.entries == {rank: (ref.counts[rank], seq)
                              for rank, seq in ref.resident.items()}
+    if not warm:                          # replay starts cold
+        _assert_replay_matches("lfu_classic", ReferenceCache, ranks,
+                               [capacity, 1, len(set(ranks))])
 
 
 def test_lru_brute_force_equivalence_random_traces():
@@ -264,16 +293,12 @@ def test_lru_brute_force_equivalence_random_traces():
         capacity = int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         ranks = rng.integers(1, n + 1, size=int(rng.integers(1, 51))).tolist()
-        cache = make_policy("lru", capacity)
-        ref = ReferenceLru(capacity)
-        expected = _outcomes(ref, ranks)
-        assert _outcomes(cache, ranks) == expected
-        assert replay("lru", np.array(ranks), capacity).tolist() == [
-            hit for hit, _ in expected]
+        _assert_replay_matches("lru", ReferenceLru, ranks, [capacity, 1, n])
 
 
 # 200 and 1000 are at or above the number of distinct ranks, so nothing
-# is evicted; in "fill_last" the capacity-th distinct rank comes last
+# is evicted; in "fill_last" the capacity-th distinct rank comes last.
+# Each trace is also replayed at C=1 and at its number of distinct ranks.
 @pytest.mark.parametrize("alpha", [0.98, 0.31])
 @pytest.mark.parametrize("capacity", [1, 2, 10, 50, 200, 1000,
                                       pytest.param(None, id="fill_last")])
@@ -283,17 +308,13 @@ def test_lru_brute_force_equivalence_zipf_traces(alpha, capacity):
     if capacity is None:
         capacity = len(set(ranks)) + 1
         ranks.append(201)                 # a rank outside the catalog
-    cache = make_policy("lru", capacity)
-    ref = ReferenceLru(capacity)
-    expected = _outcomes(ref, ranks)
-    assert _outcomes(cache, ranks) == expected
-    assert list(cache._map) == ref.order
-    assert replay("lru", np.array(ranks), capacity).tolist() == [
-        hit for hit, _ in expected]
+    _assert_replay_matches("lru", ReferenceLru, ranks,
+                           [capacity, 1, len(set(ranks))])
 
 
 @pytest.mark.parametrize("policy", ["session_lfu", "lru", "lfu_classic"])
 def test_replay_one_request(policy):
-    assert replay(policy, np.array([3]), 1).tolist() == [False]
+    assert [f.tolist() for f in replay(policy, np.array([3]), [1, 2])] == [
+        [False], [False]]
     with pytest.raises(ValueError):
-        replay(policy, np.array([3]), 0)
+        replay(policy, np.array([3]), [1, 0])

@@ -280,6 +280,32 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_file_rejects_value_outside_choices(tmp_path, capsys):
+    cfg = tmp_path / "est.cfg"
+    cfg.write_text("mode=bogus\n")
+    out = tmp_path / "model.csv"
+    assert main(["estimate", "--config", str(cfg), "--objects", "100",
+                 "--alpha", "0.7", "--capacity", "10", "--seed", "4",
+                 "--out", str(out)]) == 1
+    _assert_one_line_error(capsys, "mode='bogus' is not one of")
+    assert not out.exists()
+
+
+def test_config_file_rejects_misspelt_boolean(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    run = ["run", "--config", str(cfg), "--objects", "50", "--requests",
+           "200", "--alpha", "0.7", "--capacity", "5", "--seed", "4",
+           "--out-dir"]
+    cfg.write_text("compare=ture\n")
+    assert main(run + [str(tmp_path / "ture")]) == 1
+    _assert_one_line_error(capsys, "compare='ture' is not a boolean")
+    assert not (tmp_path / "ture").exists()
+    for value, written in (("Yes", True), ("0", False)):
+        cfg.write_text(f"compare={value}\n")
+        assert main(run + [str(tmp_path / value)]) == 0
+        assert (tmp_path / value / "comparison.csv").exists() == written
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main([]) == 2
     assert main(["bogus"]) == 2

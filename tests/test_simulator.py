@@ -51,15 +51,15 @@ def test_imported_bandwidth_charges_misses():
     cat = build_catalog(30, 0.64)
     workload = generate_workload(cat, 2000, 500, seed=8)
     attrs = assign_attributes(30, seed=9)
-    report = simulate_workload(workload, attrs, 5, "session_lfu",
-                               0.7, "product", {})
+    report, = simulate_workload(workload, attrs, [5], "session_lfu",
+                                0.7, "product", {})
     expected = 0.7 * report.misses * attrs.sizes * attrs.channel_times
     assert np.allclose(report.imported_bandwidth, expected,
                        rtol=1e-12, atol=0.0)
     assert report.total_bandwidth == pytest.approx(
         float(expected.sum()), rel=1e-12)
-    ratio = simulate_workload(workload, attrs, 5, "session_lfu",
-                              0.7, "ratio", {})
+    ratio, = simulate_workload(workload, attrs, [5], "session_lfu",
+                               0.7, "ratio", {})
     assert np.allclose(
         ratio.imported_bandwidth,
         0.7 * ratio.misses * attrs.sizes / attrs.channel_times,
@@ -91,19 +91,40 @@ def test_deterministic_reruns_byte_identical_outputs(tmp_path):
 
 
 def test_sweep_points_match_scalar_twins():
-    config = _config(alpha=(0.98, 0.64), cache_capacity=10,
-                     total_requests=3000)
-    reports = sweep(config)
-    assert len(reports) == 2
-    for index, (alpha, report) in enumerate(zip((0.98, 0.64), reports)):
-        twin = run_simulation(SimConfig(
-            n_objects=100, alpha=alpha, total_requests=3000,
-            cache_capacity=10, seed=55 ^ index))
-        assert np.array_equal(report.requests, twin.requests)
-        assert np.array_equal(report.hits, twin.hits)
-        assert report.hit_ratio == twin.hit_ratio
-        assert report.config == twin.config
-        assert report.config["seed"] == 55 ^ index
+    # every capacity of the alpha at index i runs with seed 55 ^ i
+    for capacities in (10, (10, 40)):
+        config = _config(alpha=(0.98, 0.64), cache_capacity=capacities,
+                         total_requests=3000)
+        grid = [(index, alpha, capacity)
+                for index, alpha in enumerate((0.98, 0.64))
+                for capacity in config.capacities]
+        reports = sweep(config)
+        assert len(reports) == len(grid)
+        for (index, alpha, capacity), report in zip(grid, reports):
+            twin = run_simulation(SimConfig(
+                n_objects=100, alpha=alpha, total_requests=3000,
+                cache_capacity=capacity, seed=55 ^ index))
+            assert np.array_equal(report.requests, twin.requests)
+            assert np.array_equal(report.hits, twin.hits)
+            assert report.hit_ratio == twin.hit_ratio
+            assert report.config == twin.config
+            assert report.config["seed"] == 55 ^ index
+
+
+def test_sweep_draws_one_workload_per_alpha(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate_workload(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(simulator, "generate_workload", counting)
+    reports = sweep(_config(alpha=(0.98, 0.64, 0.31),
+                            cache_capacity=(5, 10, 20, 40),
+                            total_requests=1000))
+    assert len(reports) == 12
+    assert len(calls) == 3
 
 
 def test_sweep_cross_product_shape():
