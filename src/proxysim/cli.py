@@ -57,16 +57,40 @@ def _atomic_write(path: str, writer) -> None:
         raise
 
 
-def _add_attribute_flags(p: argparse.ArgumentParser) -> None:
+# one declaration per flag that several subcommands share; a subcommand
+# may override keywords where its help or default differs
+_SHARED_FLAGS = {
+    "objects": dict(type=int, help="catalog size N"),
+    "requests": dict(type=int, help="number of requests R"),
+    "alpha": dict(type=float, help="popularity skew exponent"),
+    "session": dict(type=int, default=DEFAULT_SESSION_SIZE,
+                    help="requests per session (default 1000)"),
+    "capacity": dict(type=int, help="cache capacity C"),
+    "policy": dict(choices=POLICIES, default="session_lfu",
+                   help="replacement policy (default session_lfu)"),
+    "seed": dict(type=int, help="rng seed (required)"),
+    "out-dir": dict(help="output directory"),
+    "config": dict(help="key=value defaults file"),
+}
+
+
+def _add_shared_flags(p: argparse.ArgumentParser, *names: str,
+                      **overrides: dict) -> None:
+    """Add the named shared flags in order; ``overrides`` maps a flag's
+    name to the keywords that differ for this subcommand."""
+    for name in names:
+        p.add_argument(f"--{name}",
+                       **{**_SHARED_FLAGS[name], **overrides.get(name, {})})
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """Object attribute ranges and bandwidth parameters."""
     p.add_argument("--sizes", type=_float_pair, default=DEFAULT_SIZE_RANGE,
                    metavar="LO,HI",
                    help="object size range in kb (default 1,15)")
     p.add_argument("--times", type=_float_pair, default=DEFAULT_TIME_RANGE,
                    metavar="LO,HI",
                    help="channel access time range in ms (default 1,10)")
-
-
-def _add_bandwidth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=float, default=1.0,
                    help="packet-loss threshold factor in [0,1] (default 1)")
     p.add_argument("--rate", choices=("product", "ratio"), default="product",
@@ -74,7 +98,9 @@ def _add_bandwidth_flags(p: argparse.ArgumentParser) -> None:
                         "(kb/ms) (default product)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="proxysim",
         description="Trace-driven proxy cache simulation and closed-form "
@@ -84,14 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser(
         "gen", help="generate a request trace file",
         description="Draw a seeded request trace and write it to --out.")
-    gen.add_argument("--objects", type=int, help="catalog size N")
-    gen.add_argument("--requests", type=int, help="number of requests R")
-    gen.add_argument("--alpha", type=float, help="popularity skew exponent")
-    gen.add_argument("--session", type=int, default=DEFAULT_SESSION_SIZE,
-                     help="requests per session (default 1000)")
-    gen.add_argument("--seed", type=int, help="rng seed (required)")
+    _add_shared_flags(gen, "objects", "requests", "alpha", "session", "seed")
     gen.add_argument("--out", help="trace file path")
-    gen.add_argument("--config", help="key=value defaults file")
 
     run = sub.add_parser(
         "run", help="simulate one cache run",
@@ -99,32 +119,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "through a cache policy; writes report.csv and "
                     "summary.json into --out-dir.")
     run.add_argument("--trace", help="input trace file (skips generation)")
-    run.add_argument("--objects", type=int, help="catalog size N")
-    run.add_argument("--requests", type=int, help="number of requests R")
-    run.add_argument("--alpha", type=float, help="popularity skew exponent")
-    run.add_argument("--session", type=int, default=DEFAULT_SESSION_SIZE,
-                     help="requests per session (default 1000)")
-    run.add_argument("--capacity", type=int, help="cache capacity C")
-    run.add_argument("--policy", choices=POLICIES, default="session_lfu",
-                     help="replacement policy (default session_lfu)")
-    run.add_argument("--seed", type=int, help="rng seed (required)")
-    run.add_argument("--out-dir", help="output directory")
+    _add_shared_flags(run, "objects", "requests", "alpha", "session",
+                      "capacity", "policy", "seed", "out-dir")
     run.add_argument("--compare", action="store_true",
                      help="also write comparison.csv against the analytic "
                           "model")
-    _add_attribute_flags(run)
-    _add_bandwidth_flags(run)
-    run.add_argument("--config", help="key=value defaults file")
+    _add_model_flags(run)
 
     swp = sub.add_parser(
         "sweep", help="run an alpha/capacity sweep",
         description="Cross-product sweep over --alphas and --capacities; "
                     "one report CSV and summary JSON per point plus a "
                     "manifest.json into --out-dir.")
-    swp.add_argument("--objects", type=int, default=10000,
-                     help="catalog size N (default 10000)")
-    swp.add_argument("--requests", type=int, default=1000000,
-                     help="number of requests R (default 1000000)")
+    _add_shared_flags(
+        swp, "objects", "requests",
+        objects=dict(default=10000, help="catalog size N (default 10000)"),
+        requests=dict(default=1000000,
+                      help="number of requests R (default 1000000)"))
     swp.add_argument("--alphas", type=_float_list, default=DEFAULT_ALPHAS,
                      metavar="A1,A2,...",
                      help="comma list of skew exponents "
@@ -132,36 +143,30 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--capacities", type=_int_list, default=(100,),
                      metavar="C1,C2,...",
                      help="comma list of cache capacities (default 100)")
-    swp.add_argument("--session", type=int, default=DEFAULT_SESSION_SIZE,
-                     help="requests per session (default 1000)")
-    swp.add_argument("--policy", choices=POLICIES, default="session_lfu",
-                     help="replacement policy (default session_lfu)")
-    swp.add_argument("--seed", type=int, help="base rng seed (required)")
-    swp.add_argument("--out-dir", help="output directory")
-    _add_attribute_flags(swp)
-    _add_bandwidth_flags(swp)
-    swp.add_argument("--config", help="key=value defaults file")
+    _add_shared_flags(swp, "session", "policy", "seed", "out-dir",
+                      seed=dict(help="base rng seed (required)"))
+    _add_model_flags(swp)
 
     est = sub.add_parser(
         "estimate", help="closed-form model report, no simulation",
         description="Evaluate the analytic estimators and write the model "
                     "report CSV to --out.")
-    est.add_argument("--objects", type=int, help="catalog size N")
-    est.add_argument("--alpha", type=float, help="popularity skew exponent")
-    est.add_argument("--capacity", type=int, help="cache capacity C")
-    est.add_argument("--requests", type=int, default=1000000,
-                     help="request count R for miss probabilities "
-                          "(default 1000000)")
+    _add_shared_flags(
+        est, "objects", "alpha", "capacity", "requests",
+        requests=dict(default=1000000,
+                      help="request count R for miss probabilities "
+                           "(default 1000000)"))
     est.add_argument("--mode", choices=ESTIMATE_MODES, default="exact",
                      help="top-C mass to report: exact partial sum or a "
                           "closed-form approximation (default exact)")
-    est.add_argument("--seed", type=int, help="attribute rng seed (required)")
+    _add_shared_flags(est, "seed",
+                      seed=dict(help="attribute rng seed (required)"))
     est.add_argument("--out", help="model report CSV path")
-    _add_attribute_flags(est)
-    _add_bandwidth_flags(est)
-    est.add_argument("--config", help="key=value defaults file")
+    _add_model_flags(est)
 
-    return parser
+    for p in sub.choices.values():
+        _add_shared_flags(p, "config")
+    return parser, sub.choices
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -194,23 +199,15 @@ def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
                                  f"use one of {', '.join(_TRUE + _FALSE)}")
             defaults[key] = value.lower() in _TRUE
         else:
-            converted = value if action.type is None else action.type(value)
+            try:
+                converted = (action.type or str)(value)
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise ValueError(f"{path}: {key}={value!r}: {exc}") from None
             if action.choices is not None and converted not in action.choices:
                 raise ValueError(f"{path}: {key}={value!r} is not one of "
                                  f"{', '.join(action.choices)}")
             defaults[key] = converted
     sub.set_defaults(**defaults)
-
-
-def _config_path(argv: list[str]) -> str | None:
-    """The ``--config`` value, given as ``--config PATH`` or
-    ``--config=PATH``; the file must be read before parsing."""
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
 
 
 def _require(sub: argparse.ArgumentParser, args: argparse.Namespace,
@@ -231,32 +228,31 @@ def cmd_gen(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
+def _sim_config(args: argparse.Namespace, alpha, capacity) -> SimConfig:
+    """The SimConfig of ``run`` or ``sweep`` at the given alpha and
+    capacity, each a scalar or a tuple."""
+    return SimConfig(
+        n_objects=args.objects, alpha=alpha, total_requests=args.requests,
+        cache_capacity=capacity, seed=args.seed, session_size=args.session,
+        policy=args.policy, size_range=args.sizes, time_range=args.times,
+        k=args.k, rate_convention=args.rate)
+
+
 def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require(sub, args, "capacity", "seed", "out-dir")
     if args.compare and args.trace is not None:
         sub.error("--compare requires generation flags, not --trace")
     if args.trace is None:
         _require(sub, args, "objects", "requests", "alpha")
-        config = SimConfig(
-            n_objects=args.objects, alpha=args.alpha,
-            total_requests=args.requests, cache_capacity=args.capacity,
-            seed=args.seed, session_size=args.session, policy=args.policy,
-            size_range=args.sizes, time_range=args.times, k=args.k,
-            rate_convention=args.rate)
+        config = _sim_config(args, args.alpha, args.capacity)
         report = run_simulation(config)
     else:
         workload = load_trace(args.trace)
         attrs = assign_attributes(workload.n_objects, args.sizes, args.times,
                                   args.seed)
-        echo = {
-            "trace": args.trace, "n_objects": workload.n_objects,
-            "total_requests": workload.total_requests,
-            "session_size": workload.session_size,
-            "cache_capacity": args.capacity, "policy": args.policy,
-            "seed": args.seed, "size_range": list(args.sizes),
-            "time_range": list(args.times), "k": args.k,
-            "rate_convention": args.rate,
-        }
+        echo = {"trace": args.trace, "seed": args.seed,
+                "size_range": list(args.sizes),
+                "time_range": list(args.times)}
         report = simulate_workload(workload, attrs, [args.capacity],
                                    args.policy, args.k, args.rate, echo)[0]
 
@@ -287,14 +283,7 @@ def _sweep_stem(alpha: float, capacity: int) -> str:
 
 def cmd_sweep(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require(sub, args, "seed", "out-dir")
-    if not args.alphas or not args.capacities:
-        sub.error("--alphas and --capacities must be non-empty")
-    config = SimConfig(
-        n_objects=args.objects, alpha=tuple(args.alphas),
-        total_requests=args.requests, cache_capacity=tuple(args.capacities),
-        seed=args.seed, session_size=args.session, policy=args.policy,
-        size_range=args.sizes, time_range=args.times, k=args.k,
-        rate_convention=args.rate)
+    config = _sim_config(args, args.alphas, args.capacities)
     stems = [_sweep_stem(alpha, capacity) for alpha in config.alphas
              for capacity in config.capacities]
     clash = next((s for s in stems if stems.count(s) > 1), None)
@@ -367,25 +356,22 @@ _COMMANDS = {
 def main(argv=None) -> int:
     """Entry point; returns the process exit code instead of raising."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices
-    command = next((a for a in argv if not a.startswith("-")), None)
+    parser, subparsers = _build_parser()
     try:
-        sub = subparsers.get(command) if command else None
-        config_path = _config_path(argv)
-        if sub is not None and config_path is not None:
-            _apply_config_file(sub, config_path)
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
+        sub = subparsers[args.command]
+        if args.config is not None:
+            # file values become defaults, so the flags parsed again win
+            _apply_config_file(sub, args.config)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](sub, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (OSError, ValueError) as exc:
-        prefix = f"proxysim {command}" if command else "proxysim"
-        print(f"{prefix}: error: {exc}", file=sys.stderr)
+        print(f"proxysim {args.command}: error: {exc}", file=sys.stderr)
         return 1
 
 

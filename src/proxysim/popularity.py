@@ -208,11 +208,3 @@ def zeta_partial_terms(
                     - np.power(n.astype(np.complex128), 1 - sc)) / (1 - sc)
     bounds = s.modulus * np.power(n, -1.0 - s.sigma)
     return direct - integral, bounds
-
-
-def write_catalog_csv(catalog: ZipfCatalog, path: str) -> None:
-    """Write the catalog as ``rank,probability`` rows, ranks ascending."""
-    with open(path, "w") as f:
-        f.write("rank,probability\n")
-        for i, p in enumerate(catalog.probabilities, start=1):
-            f.write(f"{i},{p:.12e}\n")

@@ -129,16 +129,21 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
     """Replay an existing workload at each capacity and tally the
     outcome; one report per capacity, in order.
 
-    Each report's config echo is ``config_echo`` with
-    ``cache_capacity`` set to its capacity. This is the building block
-    behind :func:`run_simulation` and :func:`sweep`, also used when a
-    workload comes from a trace file instead of a seed.
+    Each report's config echo is ``config_echo`` plus what the replay
+    itself used: the workload's ``n_objects``, ``total_requests`` and
+    ``session_size``, the ``policy``, ``k``, ``rate_convention`` and the
+    report's ``cache_capacity``. This is the building block behind
+    :func:`run_simulation` and :func:`sweep`, also used when a workload
+    comes from a trace file instead of a seed.
     """
     for capacity in capacities:
         BandwidthParams(k, capacity, rate_convention)
     requests = rank_histogram(workload)
     rate = per_rank_rate(attrs.sizes, attrs.channel_times, rate_convention)
     total = workload.total_requests
+    echo = {**config_echo, "n_objects": workload.n_objects,
+            "total_requests": total, "session_size": workload.session_size,
+            "policy": policy, "k": k, "rate_convention": rate_convention}
     reports = []
     for capacity, flags in zip(capacities,
                                replay(policy, workload.requests, capacities)):
@@ -155,7 +160,7 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
             hit_ratio=hit_ratio,
             miss_ratio=1.0 - hit_ratio,
             total_bandwidth=float(imported.sum()),
-            config={**config_echo, "cache_capacity": capacity},
+            config={**echo, "cache_capacity": capacity},
         ))
     return reports
 
@@ -172,18 +177,12 @@ def _simulate_alpha(config: SimConfig) -> list[SimReport]:
     attrs = assign_attributes(config.n_objects, config.size_range,
                               config.time_range, attr_seed)
     echo = {
-        "n_objects": config.n_objects,
         "alpha": config.alpha,
-        "total_requests": config.total_requests,
-        "session_size": config.session_size,
-        "policy": config.policy,
         "seed": config.seed,
         "workload_seed": workload_seed,
         "attr_seed": attr_seed,
         "size_range": list(config.size_range),
         "time_range": list(config.time_range),
-        "k": config.k,
-        "rate_convention": config.rate_convention,
     }
     return simulate_workload(workload, attrs, config.capacities,
                              config.policy, config.k, config.rate_convention,

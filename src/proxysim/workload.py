@@ -184,12 +184,3 @@ def load_trace(path: str) -> Workload:
         seed=0,
         n_objects=n_objects,
     )
-
-
-def write_attributes_csv(attrs: ObjectAttributes, path: str) -> None:
-    """Write the attribute table as ``rank,size_kb,channel_ms`` rows."""
-    with open(path, "w") as f:
-        f.write("rank,size_kb,channel_ms\n")
-        for i in range(attrs.sizes.size):
-            f.write(f"{i + 1},{attrs.sizes[i]:.12e},"
-                    f"{attrs.channel_times[i]:.12e}\n")

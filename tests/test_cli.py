@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from proxysim import simulator
 from proxysim.cli import main
 from proxysim.simulator import (SimConfig, compare_analytic,
@@ -346,3 +348,76 @@ def test_non_finite_attribute_ranges_rejected(tmp_path, capsys):
                      "--out", str(model)]) == 1
         _assert_one_line_error(capsys, "must be finite")
         assert not out_dir.exists() and not model.exists()
+
+
+_POINT = ["--objects", "30", "--requests", "400", "--alpha", "0.8",
+          "--session", "50", "--capacity", "4", "--seed", "6"]
+_DEFAULT_MODEL = {"k": 1.0, "rate_convention": "product",
+                  "size_range": [1.0, 15.0], "time_range": [1.0, 10.0]}
+
+
+def _summary_config(path):
+    return json.loads(path.read_text())["config"]
+
+
+def test_run_summary_config_echo(tmp_path):
+    assert main(["run", *_POINT, "--policy", "lru", "--k", "0.5",
+                 "--rate", "ratio", "--sizes", "2,3", "--times", "4,5",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert _summary_config(tmp_path / "summary.json") == {
+        "n_objects": 30, "alpha": 0.8, "total_requests": 400,
+        "session_size": 50, "cache_capacity": 4, "policy": "lru",
+        "seed": 6, "workload_seed": 3153149895, "attr_seed": 4186225163,
+        "k": 0.5, "rate_convention": "ratio",
+        "size_range": [2.0, 3.0], "time_range": [4.0, 5.0]}
+
+
+def test_run_trace_summary_config_echo(tmp_path):
+    # the trace's own catalog size, length and session size win over flags
+    trace = tmp_path / "t.trace"
+    assert main(_gen_args(trace, objects=30, requests=400, session=50)) == 0
+    assert main(["run", "--trace", str(trace), "--session", "7",
+                 "--capacity", "4", "--seed", "6",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert _summary_config(tmp_path / "run" / "summary.json") == {
+        "trace": str(trace), "n_objects": 30, "total_requests": 400,
+        "session_size": 50, "cache_capacity": 4, "policy": "session_lfu",
+        "seed": 6, **_DEFAULT_MODEL}
+
+
+def test_sweep_point_summary_config_echo(tmp_path):
+    assert main(["sweep", "--objects", "30", "--requests", "400",
+                 "--alphas", "0.9,0.4", "--capacities", "4,8",
+                 "--session", "50", "--seed", "6",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert _summary_config(tmp_path / "summary_a0.4_c8.json") == {
+        "n_objects": 30, "alpha": 0.4, "total_requests": 400,
+        "session_size": 50, "cache_capacity": 8, "policy": "session_lfu",
+        "seed": 7, "workload_seed": 1201125462, "attr_seed": 3618983171,
+        **_DEFAULT_MODEL}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("run", "sizes", "1"), ("sweep", "alphas", ""),
+    ("sweep", "capacities", ""), ("estimate", "times", "1,2,3"),
+    ("gen", "objects", "many")])
+def test_config_file_rejects_value_its_flag_rejects(tmp_path, capsys,
+                                                    command, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    out = tmp_path / "out"
+    outputs = {"gen": "--out", "estimate": "--out"}
+    assert main([command, "--config", str(cfg), "--seed", "1",
+                 outputs.get(command, "--out-dir"), str(out)]) == 1
+    _assert_one_line_error(capsys, f"{cfg}: {key}={value!r}")
+    assert not out.exists()
+
+
+def test_config_flag_abbreviations_load_the_file(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("objects=4\nrequests=6\nalpha=0.5\nseed=9\n"
+                   f"out={tmp_path / 'c.trace'}\n")
+    for argv in (["gen", "--conf", str(cfg)], ["gen", f"--confi={cfg}"]):
+        (tmp_path / "c.trace").unlink(missing_ok=True)
+        assert main(argv) == 0
+        assert (tmp_path / "c.trace").exists()

@@ -7,7 +7,7 @@ from scipy import stats
 from proxysim.popularity import (ComplexExponent, build_catalog,
                                  generalized_harmonic, power_modulus,
                                  probability, sample_ranks,
-                                 write_catalog_csv, zeta_partial_terms)
+                                 zeta_partial_terms)
 
 EULER_GAMMA = 0.5772156649015329
 ZETA2_MINUS_ONE = math.pi ** 2 / 6.0 - 1.0
@@ -227,16 +227,3 @@ def test_zeta_rejects_bad_inputs():
         zeta_partial_terms(ComplexExponent(2.0), 0)
     with pytest.raises(ValueError):
         ComplexExponent(float("nan"), 0.0)
-
-
-def test_catalog_csv_round_trip(tmp_path):
-    cat = build_catalog(20, 0.64)
-    path = tmp_path / "catalog.csv"
-    write_catalog_csv(cat, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "rank,probability"
-    assert len(lines) == 21
-    parsed = [float(line.split(",")[1]) for line in lines[1:]]
-    assert abs(sum(parsed) - 1.0) < 1e-10
-    # 12 significant digits survive the round trip
-    assert parsed[0] == pytest.approx(cat.probabilities[0], rel=1e-11)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from proxysim.cli import _build_parser
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
@@ -77,3 +79,45 @@ def test_benchmark_tracer_records_layer_spans(tmp_path):
     assert {"simulator.simulate_workload.lru",
             "workload.load_trace"} <= spans["trace"]
     assert "simulator.simulate_workload.session_lfu" in spans["compare"]
+
+
+_POLICIES = ("session_lfu", "lru", "lfu_classic")
+_MODEL_FLAGS = [("--sizes", (1.0, 15.0), None),
+                ("--times", (1.0, 10.0), None), ("--k", 1.0, None),
+                ("--rate", "product", ("product", "ratio"))]
+# (option string, default, choices) of every flag, in help order
+_CLI_SURFACE = {
+    "gen": [("--objects", None, None), ("--requests", None, None),
+            ("--alpha", None, None), ("--session", 1000, None),
+            ("--seed", None, None), ("--out", None, None),
+            ("--config", None, None)],
+    "run": [("--trace", None, None), ("--objects", None, None),
+            ("--requests", None, None), ("--alpha", None, None),
+            ("--session", 1000, None), ("--capacity", None, None),
+            ("--policy", "session_lfu", _POLICIES), ("--seed", None, None),
+            ("--out-dir", None, None), ("--compare", False, None),
+            *_MODEL_FLAGS, ("--config", None, None)],
+    "sweep": [("--objects", 10000, None), ("--requests", 1000000, None),
+              ("--alphas", (0.98, 0.75, 0.64, 0.51, 0.41, 0.31), None),
+              ("--capacities", (100,), None), ("--session", 1000, None),
+              ("--policy", "session_lfu", _POLICIES), ("--seed", None, None),
+              ("--out-dir", None, None), *_MODEL_FLAGS,
+              ("--config", None, None)],
+    "estimate": [("--objects", None, None), ("--alpha", None, None),
+                 ("--capacity", None, None), ("--requests", 1000000, None),
+                 ("--mode", "exact", ("exact", "paper", "corrected")),
+                 ("--seed", None, None), ("--out", None, None),
+                 *_MODEL_FLAGS, ("--config", None, None)],
+}
+
+
+def test_cli_flags_defaults_and_choices():
+    # pins every subcommand's flags so that no flag is dropped, added or
+    # given a new default or choice set
+    _, subparsers = _build_parser()
+    assert list(subparsers) == list(_CLI_SURFACE)
+    for name, sub in subparsers.items():
+        flags = [(*a.option_strings, a.default,
+                  None if a.choices is None else tuple(a.choices))
+                 for a in sub._actions if a.dest != "help"]
+        assert flags == _CLI_SURFACE[name], name

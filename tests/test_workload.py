@@ -6,7 +6,7 @@ import pytest
 from proxysim.popularity import build_catalog
 from proxysim.workload import (TraceParseError, Workload, assign_attributes,
                                generate_workload, load_trace, rank_histogram,
-                               save_trace, write_attributes_csv)
+                               save_trace)
 
 
 def test_single_object_workload_shape():
@@ -179,16 +179,3 @@ def test_workload_generator_rejects_bad_counts():
         generate_workload(cat, 0, 10, seed=1)
     with pytest.raises(ValueError):
         generate_workload(cat, 10, 0, seed=1)
-
-
-def test_attributes_csv_format(tmp_path):
-    attrs = assign_attributes(4, (1.0, 15.0), (1.0, 10.0), seed=21)
-    path = tmp_path / "attrs.csv"
-    write_attributes_csv(attrs, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "rank,size_kb,channel_ms"
-    assert len(lines) == 5
-    rank, size, chan = lines[1].split(",")
-    assert rank == "1"
-    assert float(size) == pytest.approx(attrs.sizes[0], rel=1e-11)
-    assert float(chan) == pytest.approx(attrs.channel_times[0], rel=1e-11)
