@@ -12,7 +12,7 @@ from .analytics import (BandwidthParams, model_report, top_c_mass,
 from .cache import POLICIES
 from .popularity import build_catalog
 from .simulator import (DEFAULT_ALPHAS, SimConfig, compare_run,
-                        run_simulation, simulate_workload, sweep,
+                        run_simulation, simulate_workload, spawn_seeds, sweep,
                         write_comparison_csv, write_report_csv,
                         write_summary_json)
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
@@ -159,8 +159,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     est.add_argument("--mode", choices=ESTIMATE_MODES, default="exact",
                      help="top-C mass to report: exact partial sum or a "
                           "closed-form approximation (default exact)")
-    _add_shared_flags(est, "seed",
-                      seed=dict(help="attribute rng seed (required)"))
+    _add_shared_flags(est, "seed")
     est.add_argument("--out", help="model report CSV path")
     _add_model_flags(est)
 
@@ -187,7 +186,8 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
     """Install config-file values as subparser defaults; flags still win."""
     raw = _read_config_file(path)
-    converters = {a.dest: a for a in sub._actions}
+    converters = {a.dest: a for a in sub._actions
+                  if a.dest not in ("help", "config")}
     defaults = {}
     for key, value in raw.items():
         action = converters.get(key)
@@ -220,8 +220,9 @@ def _require(sub: argparse.ArgumentParser, args: argparse.Namespace,
 def cmd_gen(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require(sub, args, "objects", "requests", "alpha", "seed", "out")
     catalog = build_catalog(args.objects, args.alpha)
+    workload_seed, _ = spawn_seeds(args.seed, 2)
     workload = generate_workload(catalog, args.requests, args.session,
-                                 args.seed)
+                                 workload_seed)
     _atomic_write(args.out, lambda p: save_trace(workload, p))
     print(f"wrote {args.out} ({workload.total_requests} requests, "
           f"N={workload.n_objects})")
@@ -240,18 +241,23 @@ def _sim_config(args: argparse.Namespace, alpha, capacity) -> SimConfig:
 
 def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require(sub, args, "capacity", "seed", "out-dir")
-    if args.compare and args.trace is not None:
-        sub.error("--compare requires generation flags, not --trace")
     if args.trace is None:
         _require(sub, args, "objects", "requests", "alpha")
         config = _sim_config(args, args.alpha, args.capacity)
         report = run_simulation(config)
     else:
+        if args.compare:
+            sub.error("--compare requires generation flags, not --trace")
+        for name in ("objects", "requests", "alpha"):
+            if getattr(args, name) is not None:
+                sub.error(f"--{name} conflicts with --trace, which replays "
+                          "the trace's own catalog size, length and skew")
         workload = load_trace(args.trace)
+        _, attr_seed = spawn_seeds(args.seed, 2)
         attrs = assign_attributes(workload.n_objects, args.sizes, args.times,
-                                  args.seed)
+                                  attr_seed)
         echo = {"trace": args.trace, "seed": args.seed,
-                "size_range": list(args.sizes),
+                "attr_seed": attr_seed, "size_range": list(args.sizes),
                 "time_range": list(args.times)}
         report = simulate_workload(workload, attrs, [args.capacity],
                                    args.policy, args.k, args.rate, echo)[0]
@@ -335,7 +341,8 @@ def cmd_estimate(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     else:
         variant = "paper_literal" if args.mode == "paper" else "corrected"
         mass = top_c_mass_asymptotic(catalog, args.capacity, variant)
-    attrs = assign_attributes(args.objects, args.sizes, args.times, args.seed)
+    _, attr_seed = spawn_seeds(args.seed, 2)
+    attrs = assign_attributes(args.objects, args.sizes, args.times, attr_seed)
     report = model_report(catalog, attrs, params, args.requests)
     _atomic_write(args.out,
                   lambda p: write_model_report_csv(report, catalog, p))

@@ -1,12 +1,12 @@
 """Trace-driven simulation runs, sweeps, and model-vs-measurement tables.
 
-A run draws a workload and attribute table from one seed, replays it
+A run draws a workload and attribute table from its seed, replays them
 through a cache policy at one or more capacities, and tallies per-rank
 requests, hits, misses, and the bandwidth imported on misses. Sweeps
-fan out over the alpha list with one seed per alpha derived from the
-base seed, each alpha's workload serving every capacity, and the
-comparison table puts measured hit ratios next to the closed-form
-top-rank mass they should track.
+fan out over the alpha list, each alpha's workload serving every
+capacity; :func:`spawn_seeds` is the one rule that turns a seed into
+the seeds of these draws. The comparison table puts measured hit
+ratios next to the closed-form top-rank mass they should track.
 """
 
 from __future__ import annotations
@@ -115,11 +115,11 @@ class CapacityComparison(NamedTuple):
     model_bandwidth_ratio: float
 
 
-def _derived_seeds(seed: int) -> tuple[int, int]:
-    """Split one config seed into independent workload/attribute seeds."""
-    w, a = np.random.SeedSequence(seed).spawn(2)
-    return (int(w.generate_state(1, np.uint32)[0]),
-            int(a.generate_state(1, np.uint32)[0]))
+def spawn_seeds(seed: int, n: int) -> list[int]:
+    """The one seed rule: ``n`` independent 32-bit seeds from ``seed``.
+    Every draw takes ``(workload_seed, attr_seed)`` from ``n=2``."""
+    return [int(child.generate_state(1, np.uint32)[0])
+            for child in np.random.SeedSequence(seed).spawn(n)]
 
 
 def simulate_workload(workload: Workload, attrs: ObjectAttributes,
@@ -170,7 +170,7 @@ def _simulate_alpha(config: SimConfig) -> list[SimReport]:
     scalar alpha once and replay them at each of its capacities."""
     if isinstance(config.alpha, (tuple, list)):
         raise ValueError("needs a scalar alpha; use sweep() for lists")
-    workload_seed, attr_seed = _derived_seeds(config.seed)
+    workload_seed, attr_seed = spawn_seeds(config.seed, 2)
     catalog = build_catalog(config.n_objects, config.alpha)
     workload = generate_workload(catalog, config.total_requests,
                                  config.session_size, workload_seed)
@@ -208,21 +208,20 @@ def _available_cpus() -> int:
 def sweep(config: SimConfig) -> list[SimReport]:
     """Run the cross-product of the config's alpha and capacity lists.
 
-    Each alpha draws one workload and replays it at every capacity, so
-    the capacities of one alpha share their random numbers. The alpha
-    at index ``i`` runs with seed ``config.seed ^ i``, so alphas are
-    independent yet reproducible, and every point equals
-    :func:`run_simulation` at its capacity and the seed its config
-    echo records. Alphas share nothing, so they run in worker
-    processes, at most one per available CPU; reports come back
-    alpha-major in the order of the config's lists and do not depend
-    on the worker count. If an alpha raises, the pending ones are
-    cancelled and its exception is re-raised here.
+    Each alpha draws one workload from its own seed, child ``i`` of
+    :func:`spawn_seeds` for the alpha at index ``i``, and replays it at
+    every capacity; every point equals :func:`run_simulation` at its
+    capacity and the seed its config echo records. Alphas share
+    nothing, so they run in worker processes, at most one per available
+    CPU; reports come back alpha-major in the order of the config's
+    lists and do not depend on the worker count. If an alpha raises,
+    the pending ones are cancelled and its exception is re-raised here.
     """
     if not config.is_sweep:
         raise ValueError("sweep needs a list-valued alpha or cache_capacity")
-    tasks = [replace(config, alpha=alpha, seed=config.seed ^ index)
-             for index, alpha in enumerate(config.alphas)]
+    seeds = spawn_seeds(config.seed, len(config.alphas))
+    tasks = [replace(config, alpha=alpha, seed=seed)
+             for alpha, seed in zip(config.alphas, seeds)]
     workers = min(len(tasks), _available_cpus())
     if workers == 1:
         per_alpha = list(map(_simulate_alpha, tasks))
@@ -247,9 +246,7 @@ def compare_run(config: SimConfig,
     imported bandwidth next to the model's aggregate under both rate
     conventions. Only the catalog and attribute table are rebuilt.
     """
-    if isinstance(config.alpha, (tuple, list)):
-        raise ValueError("compare_run needs a scalar alpha")
-    _, attr_seed = _derived_seeds(config.seed)
+    _, attr_seed = spawn_seeds(config.seed, 2)
     catalog = build_catalog(config.n_objects, config.alpha)
     attrs = assign_attributes(config.n_objects, config.size_range,
                               config.time_range, attr_seed)

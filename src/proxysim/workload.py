@@ -39,13 +39,11 @@ class Workload:
     Sessions are consecutive blocks of ``session_size`` requests, the
     last possibly shorter. They are bookkeeping only: no cache policy
     depends on them, and the size is echoed into traces and reports as
-    given. ``seed`` records the generating seed, 0 for workloads loaded
-    from a trace file.
+    given.
     """
 
     requests: np.ndarray
     session_size: int
-    seed: int
     n_objects: int
 
     @property
@@ -65,7 +63,6 @@ def generate_workload(
     return Workload(
         requests=sample_ranks(catalog, total_requests, rng),
         session_size=int(session_size),
-        seed=int(seed),
         n_objects=catalog.n_objects,
     )
 
@@ -181,6 +178,5 @@ def load_trace(path: str) -> Workload:
     return Workload(
         requests=np.asarray(requests, dtype=np.int64),
         session_size=session_size,
-        seed=0,
         n_objects=n_objects,
     )

@@ -105,7 +105,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_log_like_hit_ratio_growth():
     capacities = (10, 32, 100, 316, 1000)
-    # one alpha: one seed-5 workload replayed at every capacity
+    # one alpha: one workload, drawn from base seed 5, at every capacity
     ratios = [report.hit_ratio for report in sweep(SimConfig(
         n_objects=10000, alpha=0.98, total_requests=1000000,
         cache_capacity=capacities, seed=5, policy="lfu_classic"))]

@@ -166,7 +166,7 @@ def test_session_partition_does_not_change_outcomes():
     ranks = generate_workload(cat, 300, 300, seed=23).requests
     per_size = [
         _replay(policy, 4, Workload(requests=ranks, session_size=session,
-                                    seed=0, n_objects=8))
+                                    n_objects=8))
         for session in (1, 7, 50, 300, 1000)
         for policy in ("session_lfu", "lfu_classic")]
     assert all(out == per_size[0] for out in per_size)
@@ -233,7 +233,7 @@ def test_resident_count_and_seq_invariants():
 
 
 def test_unknown_policy_rejected():
-    w = Workload(requests=np.array([1]), session_size=1, seed=0, n_objects=1)
+    w = Workload(requests=np.array([1]), session_size=1, n_objects=1)
     with pytest.raises(ValueError):
         _replay("mru", 2, w)
     with pytest.raises(ValueError):

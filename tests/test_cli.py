@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from proxysim import simulator
@@ -273,13 +274,18 @@ def test_config_file_flags_win(tmp_path):
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
+    # help and config are flags, not settings a file can give
     cfg = tmp_path / "gen.cfg"
-    cfg.write_text("bogus=1\n")
-    rc = main(["gen", "--config", str(cfg), "--objects", "2",
-               "--requests", "3", "--alpha", "0.5", "--seed", "1",
-               "--out", str(tmp_path / "z.trace")])
-    assert rc == 1
-    assert "unknown config key" in capsys.readouterr().err
+    out = tmp_path / "z.trace"
+    for key, value in (("bogus", "1"), ("help", "1"),
+                       ("config", "nothere.cfg")):
+        cfg.write_text(f"{key}={value}\n")
+        rc = main(["gen", "--config", str(cfg), "--objects", "2",
+                   "--requests", "3", "--alpha", "0.5", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        _assert_one_line_error(capsys, f"unknown config key {key!r}")
+        assert not out.exists()
 
 
 def test_config_file_rejects_value_outside_choices(tmp_path, capsys):
@@ -379,10 +385,11 @@ def test_run_trace_summary_config_echo(tmp_path):
     assert main(["run", "--trace", str(trace), "--session", "7",
                  "--capacity", "4", "--seed", "6",
                  "--out-dir", str(tmp_path / "run")]) == 0
+    _, attr_seed = _child_seeds(6, 2)
     assert _summary_config(tmp_path / "run" / "summary.json") == {
         "trace": str(trace), "n_objects": 30, "total_requests": 400,
         "session_size": 50, "cache_capacity": 4, "policy": "session_lfu",
-        "seed": 6, **_DEFAULT_MODEL}
+        "seed": 6, "attr_seed": attr_seed, **_DEFAULT_MODEL}
 
 
 def test_sweep_point_summary_config_echo(tmp_path):
@@ -390,11 +397,79 @@ def test_sweep_point_summary_config_echo(tmp_path):
                  "--alphas", "0.9,0.4", "--capacities", "4,8",
                  "--session", "50", "--seed", "6",
                  "--out-dir", str(tmp_path)]) == 0
+    _, seed = _child_seeds(6, 2)   # the second alpha's seed
+    workload_seed, attr_seed = _child_seeds(seed, 2)
     assert _summary_config(tmp_path / "summary_a0.4_c8.json") == {
         "n_objects": 30, "alpha": 0.4, "total_requests": 400,
         "session_size": 50, "cache_capacity": 8, "policy": "session_lfu",
-        "seed": 7, "workload_seed": 1201125462, "attr_seed": 3618983171,
+        "seed": seed, "workload_seed": workload_seed, "attr_seed": attr_seed,
         **_DEFAULT_MODEL}
+
+
+def _child_seeds(seed, n):
+    """The seed rule's reference: the first 32-bit word of each of the
+    ``n`` children of ``SeedSequence(seed)``."""
+    return [int(child.generate_state(1, np.uint32)[0])
+            for child in np.random.SeedSequence(seed).spawn(n)]
+
+
+def test_gen_then_run_trace_reproduces_run(tmp_path):
+    # one seed rule: gen --seed S then run --trace --seed S replays the
+    # requests and charges the attribute table that run --seed S draws
+    point = ["--objects", "200", "--requests", "3000", "--alpha", "0.7",
+             "--session", "100"]
+    trace = tmp_path / "t.trace"
+    assert main(["gen", *point, "--seed", "3", "--out", str(trace)]) == 0
+    for policy in ("session_lfu", "lru"):
+        replayed, drawn = tmp_path / f"trace_{policy}", tmp_path / policy
+        common = ["--capacity", "20", "--policy", policy, "--seed", "3"]
+        assert main(["run", "--trace", str(trace), *common,
+                     "--out-dir", str(replayed)]) == 0
+        assert main(["run", *point, *common, "--out-dir", str(drawn)]) == 0
+        assert (replayed / "report.csv").read_bytes() == (
+            drawn / "report.csv").read_bytes()
+
+
+def test_estimate_prints_run_compare_model_bandwidth(tmp_path, capsys):
+    # one seed rule: estimate --seed S charges the attribute table that
+    # run --compare --seed S compares against
+    point = ["--objects", "200", "--alpha", "0.7", "--capacity", "20",
+             "--seed", "3"]
+    assert main(["estimate", *point, "--out", str(tmp_path / "m.csv")]) == 0
+    printed = capsys.readouterr().out.split()[0]
+    assert main(["run", *point, "--requests", "3000", "--compare",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    comparison = (tmp_path / "run" / "comparison.csv").read_text()
+    header, row = (line.split(",") for line in comparison.splitlines())
+    model = dict(zip(header, row))
+    assert printed == (f"aggregate_bandwidth="
+                       f"{float(model['model_bandwidth_product']):.6e}")
+
+
+def test_sweep_base_seeds_share_no_alpha_seed(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: 1)
+    seeds = {}
+    for base in (0, 1):
+        out_dir = tmp_path / f"base{base}"
+        assert main(["sweep", "--objects", "20", "--requests", "50",
+                     "--capacities", "5", "--seed", str(base),
+                     "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        seeds[base] = [entry["seed"] for entry in manifest["outputs"]]
+        assert seeds[base] == _child_seeds(base, 6)
+    assert not set(seeds[0]) & set(seeds[1])
+
+
+def test_run_trace_rejects_generation_flags(tmp_path, capsys):
+    # a usage error, raised before the (missing) trace is opened
+    out_dir = tmp_path / "run"
+    for flag, value in (("--objects", "5"), ("--requests", "3"),
+                        ("--alpha", "9")):
+        assert main(["run", "--trace", str(tmp_path / "missing.trace"),
+                     flag, value, "--capacity", "1", "--seed", "3",
+                     "--out-dir", str(out_dir)]) == 2
+        assert f"{flag} conflicts with --trace" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command, key, value", [

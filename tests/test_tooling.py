@@ -2,9 +2,13 @@ import ast
 import importlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from proxysim.cli import _build_parser
 
@@ -121,3 +125,19 @@ def test_cli_flags_defaults_and_choices():
                   None if a.choices is None else tuple(a.choices))
                  for a in sub._actions if a.dest != "help"]
         assert flags == _CLI_SURFACE[name], name
+
+
+def test_readme_commands_parse():
+    # every command in README's "Command line" block must still parse
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("proxysim ")]
+    parser, _ = _build_parser()
+    assert sorted({c.split()[1] for c in commands}) == sorted(_CLI_SURFACE)
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

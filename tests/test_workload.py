@@ -85,7 +85,7 @@ def test_attributes_reject_bad_ranges():
 
 
 def test_histogram_direct_count():
-    w = Workload(requests=np.array([1, 1, 2]), session_size=3, seed=0,
+    w = Workload(requests=np.array([1, 1, 2]), session_size=3,
                  n_objects=3)
     assert rank_histogram(w).tolist() == [2, 1, 0]
 
@@ -116,7 +116,7 @@ def test_histogram_decile_counts_non_increasing():
 
 
 def test_trace_round_trip(tmp_path):
-    w = Workload(requests=np.array([1, 1, 2]), session_size=3, seed=0,
+    w = Workload(requests=np.array([1, 1, 2]), session_size=3,
                  n_objects=3)
     path = tmp_path / "t.trace"
     save_trace(w, str(path))
