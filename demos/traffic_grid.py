@@ -2,12 +2,11 @@
 
 Reproduces the experimental grid end to end: six skew settings, one
 seeded million-request stream each, fitted log-log slope of the rank
-histogram, and the long-tail shape of imported bandwidth.
+histogram, and the share of imported bandwidth the hottest decile of
+ranks carries.
 
     python3 demos/traffic_grid.py   (takes a few seconds)
 """
-
-import numpy as np
 
 from proxysim.simulator import DEFAULT_ALPHAS, SimConfig, fit_power_law, sweep
 
@@ -22,20 +21,21 @@ def main() -> None:
         policy="session_lfu",
     )
 
-    print("alpha   fitted slope   hit ratio   bandwidth decile shape")
+    decile = config.n_objects // 10
+    print("alpha   fitted slope   hit ratio   top-decile bandwidth share")
     for report in sweep(config):
         alpha = report.config["alpha"]
         slope, r2 = fit_power_law(report.requests, 100)
-        deciles = report.imported_bandwidth.reshape(10, 1000).sum(axis=1)
-        monotone = ("non-increasing" if np.all(np.diff(deciles) <= 0)
-                    else "mixed")
+        bandwidth = report.imported_bandwidth
+        head_share = bandwidth[:decile].sum() / bandwidth.sum()
         print(f"{alpha:5.2f}   {slope:12.3f}   {report.hit_ratio:9.4f}   "
-              f"{monotone}")
+              f"{head_share:26.3f}")
 
     print()
     print("the fitted slope tracks -alpha: the request stream hands back the")
-    print("exponent that generated it, and bandwidth stays tail-heavy for")
-    print("every skew level in the grid")
+    print("exponent that generated it. The 1,000 hottest ranks import a")
+    print("smaller share of the bandwidth as the skew falls: the flatter the")
+    print("popularity, the more of the traffic the tail imports")
 
 
 # sweep() runs its points in worker processes; under the spawn and

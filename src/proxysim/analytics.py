@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .popularity import ZipfCatalog, probability
+from .popularity import ZipfCatalog
 from .workload import ObjectAttributes
 
 ASYMPTOTIC_MODES = ("paper_literal", "corrected")
@@ -37,9 +37,8 @@ class BandwidthParams:
         ``"ratio"`` for ``s_i / t_i``.
 
     This is the one place ``k`` and ``rate_convention`` are validated;
-    :class:`~proxysim.simulator.SimConfig` and
-    :func:`~proxysim.simulator.simulate_workload` build one to check
-    them.
+    :func:`~proxysim.simulator.simulate_workload` builds one per
+    capacity to check them and the capacity.
     """
 
     k: float
@@ -76,25 +75,35 @@ class ModelReport:
     aggregate_bandwidth: float
 
 
-def miss_probability(catalog: ZipfCatalog, rank: int, r_requests: int) -> float:
-    """Probability that ``rank`` is absent from ``r_requests`` i.i.d. draws.
+def _check_rank(catalog: ZipfCatalog, value: int, name: str) -> None:
+    if not 1 <= value <= catalog.n_objects:
+        raise ValueError(
+            f"{name} must be in 1..{catalog.n_objects}, got {value}")
 
-    Parameters
-    ----------
-    catalog : ZipfCatalog
-    rank : int
-        Rank whose miss chance is wanted, 1-based and in range.
-    r_requests : int
-        Number of independent requests, >= 0.
 
-    Returns
-    -------
-    float
-        ``(1 - p(rank)) ** r_requests``; 1.0 for an empty stream.
-    """
+def _miss_term(catalog: ZipfCatalog, r_requests: int,
+               ranks: slice) -> np.ndarray:
+    """The one miss formula: ``(1 - p_i)**R`` for the 0-based ``ranks``."""
     if r_requests < 0:
         raise ValueError(f"r_requests must be >= 0, got {r_requests}")
-    return (1.0 - probability(catalog, rank)) ** r_requests
+    return np.power(1.0 - catalog.probabilities[ranks], r_requests)
+
+
+def _model_bandwidth(catalog: ZipfCatalog, attributes: ObjectAttributes,
+                     params: BandwidthParams, ranks: slice) -> np.ndarray:
+    """The one bandwidth formula: ``k * top_c_mass(C) * b_i`` for the
+    0-based ``ranks``. The top-C mass is the capacity's weight."""
+    b = per_rank_rate(attributes.sizes[ranks],
+                      attributes.channel_times[ranks],
+                      params.rate_convention)
+    return params.k * top_c_mass(catalog, params.cache_capacity) * b
+
+
+def miss_probability(catalog: ZipfCatalog, rank: int, r_requests: int) -> float:
+    """Probability that ``rank`` (1-based) is absent from ``r_requests``
+    i.i.d. draws: ``(1 - p(rank))**R``, 1.0 for an empty stream."""
+    _check_rank(catalog, rank, "rank")
+    return float(_miss_term(catalog, r_requests, slice(rank - 1, rank))[0])
 
 
 def hit_miss_on_demand(catalog: ZipfCatalog, r_requests: int,
@@ -106,19 +115,14 @@ def hit_miss_on_demand(catalog: ZipfCatalog, r_requests: int,
     after ``R`` requests. Equals the plain top-rank mass at ``R = 0``
     and vanishes geometrically as ``R`` grows.
     """
-    if not 1 <= upper_rank <= catalog.n_objects:
-        raise ValueError(
-            f"upper_rank {upper_rank} outside 1..{catalog.n_objects}")
-    if r_requests < 0:
-        raise ValueError(f"r_requests must be >= 0, got {r_requests}")
-    p = catalog.probabilities[:upper_rank]
-    return float(np.sum(p * np.power(1.0 - p, r_requests)))
+    _check_rank(catalog, upper_rank, "upper_rank")
+    return float(np.sum(catalog.probabilities[:upper_rank]
+                        * _miss_term(catalog, r_requests, slice(upper_rank))))
 
 
 def top_c_mass(catalog: ZipfCatalog, c: int) -> float:
     """Exact probability mass of the ``c`` most popular ranks."""
-    if not 1 <= c <= catalog.n_objects:
-        raise ValueError(f"c must be in 1..{catalog.n_objects}, got {c}")
+    _check_rank(catalog, c, "c")
     return float(catalog.probabilities[:c].sum())
 
 
@@ -141,8 +145,7 @@ def top_c_mass_asymptotic(catalog: ZipfCatalog, c: int, mode: str) -> float:
     if mode not in ASYMPTOTIC_MODES:
         raise ValueError(
             f"mode must be one of {ASYMPTOTIC_MODES}, got {mode!r}")
-    if not 1 <= c <= catalog.n_objects:
-        raise ValueError(f"c must be in 1..{catalog.n_objects}, got {c}")
+    _check_rank(catalog, c, "c")
     alpha = catalog.alpha
     if alpha == 1.0:
         raise ValueError("asymptotic mass is singular at alpha = 1")
@@ -161,31 +164,19 @@ def bandwidth_per_rank(rank: int, attributes: ObjectAttributes,
     time) is weighted by ``k`` and by the exact mass of the top
     ``params.cache_capacity`` ranks.
     """
-    if not 1 <= rank <= catalog.n_objects:
-        raise ValueError(
-            f"rank {rank} outside catalog of {catalog.n_objects} objects")
-    b = per_rank_rate(float(attributes.sizes[rank - 1]),
-                      float(attributes.channel_times[rank - 1]),
-                      params.rate_convention)
-    return params.k * top_c_mass(catalog, params.cache_capacity) * b
+    _check_rank(catalog, rank, "rank")
+    return float(_model_bandwidth(catalog, attributes, params,
+                                  slice(rank - 1, rank))[0])
 
 
 def aggregate_bandwidth(attributes: ObjectAttributes,
                         params: BandwidthParams, catalog: ZipfCatalog,
                         n_ranks: int) -> float:
-    """Total estimated bandwidth over ranks ``1..n_ranks``.
-
-    Linear in ``k`` and factorizes as ``k * mass * sum(b_i)``; computed
-    vectorized but identical to summing :func:`bandwidth_per_rank`.
-    """
-    if not 1 <= n_ranks <= catalog.n_objects:
-        raise ValueError(
-            f"n_ranks must be in 1..{catalog.n_objects}, got {n_ranks}")
-    b = per_rank_rate(attributes.sizes[:n_ranks],
-                      attributes.channel_times[:n_ranks],
-                      params.rate_convention)
-    mass = top_c_mass(catalog, params.cache_capacity)
-    return float(params.k * mass * b.sum())
+    """Total estimated bandwidth over ranks ``1..n_ranks``: the sum of
+    :func:`bandwidth_per_rank` over them, so linear in ``k``."""
+    _check_rank(catalog, n_ranks, "n_ranks")
+    return float(_model_bandwidth(catalog, attributes, params,
+                                  slice(n_ranks)).sum())
 
 
 def model_report(catalog: ZipfCatalog, attributes: ObjectAttributes,
@@ -206,21 +197,16 @@ def model_report(catalog: ZipfCatalog, attributes: ObjectAttributes,
     ModelReport
         Per-rank miss probabilities and bandwidth, the residual miss
         mass over the whole catalog, the exact top-C mass, and the
-        aggregate bandwidth over all ranks.
+        aggregate bandwidth over all ranks. Each field equals the
+        matching scalar function at the whole catalog.
     """
-    if r_requests < 0:
-        raise ValueError(f"r_requests must be >= 0, got {r_requests}")
     n = catalog.n_objects
-    p = catalog.probabilities
-    per_rank_miss = np.power(1.0 - p, r_requests)
-    mass = top_c_mass(catalog, params.cache_capacity)
-    b = per_rank_rate(attributes.sizes[:n], attributes.channel_times[:n],
-                      params.rate_convention)
-    per_rank_bandwidth = params.k * mass * b
+    per_rank_bandwidth = _model_bandwidth(catalog, attributes, params,
+                                          slice(n))
     return ModelReport(
-        per_rank_miss=per_rank_miss,
-        h_demand=float(np.sum(p * per_rank_miss)),
-        top_c_mass=mass,
+        per_rank_miss=_miss_term(catalog, r_requests, slice(n)),
+        h_demand=hit_miss_on_demand(catalog, r_requests, n),
+        top_c_mass=top_c_mass(catalog, params.cache_capacity),
         per_rank_bandwidth=per_rank_bandwidth,
         aggregate_bandwidth=float(per_rank_bandwidth.sum()),
     )

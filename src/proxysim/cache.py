@@ -16,7 +16,7 @@ in a pending slot, and since it loses every count tie it is the usual
 victim, evicted without a heap operation.
 
 :func:`replay` is the one entry point for a whole request array: it
-returns the hit flags of a fresh cache at each of several capacities.
+yields the hit flags of a fresh cache at each of several capacities.
 LFU replays call ``CacheState.access`` once per request and capacity.
 LRU needs no cache object: it is a stack algorithm, so a request hits
 exactly when the previous request for its rank is among the last
@@ -28,12 +28,14 @@ over them per capacity finds the oldest of those last requests.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from heapq import heappush, heapreplace
+from itertools import chain
 
 import numpy as np
 
 POLICIES = ("session_lfu", "lru", "lfu_classic")
+_RANK_CHUNK = 1 << 16   # ranks converted to Python ints at a time
 
 
 class CacheState:
@@ -126,15 +128,17 @@ class CacheState:
 
 
 def replay(policy: str, requests: np.ndarray,
-           capacities: Sequence[int]) -> list[np.ndarray]:
+           capacities: Sequence[int]) -> Iterator[np.ndarray]:
     """Replay ``requests`` through a fresh cache of each capacity in
-    ``capacities``; one array of hit flags, one per request, for each.
+    ``capacities``; yields one array of hit flags, one per request, for
+    each capacity in turn, so a caller can drop each before the next.
 
+    The policy and every capacity are checked here, before any replay.
     LFU names run ``CacheState.access`` on each request, once per
-    capacity. ``lru`` finds ``prev[i]`` and ``next[i]``, the previous
-    and next positions of request ``i``'s rank (-1 and
-    ``len(requests)`` when there is none), once for all capacities and
-    walks the trace once per capacity:
+    capacity, converting ranks to Python ints a chunk at a time. ``lru``
+    finds ``prev[i]`` and ``next[i]``, the previous and next positions of
+    request ``i``'s rank (-1 and ``len(requests)`` when there is none),
+    once for all capacities and walks the trace once per capacity:
 
     - Up to ``fill``, where the ``capacity``-th distinct rank arrives,
       nothing is evicted, so a request hits iff ``prev[i] >= 0``.
@@ -150,14 +154,21 @@ def replay(policy: str, requests: np.ndarray,
     for capacity in capacities:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+    return _replay(policy, requests, capacities)
+
+
+def _replay(policy: str, requests: np.ndarray,
+            capacities: Sequence[int]) -> Iterator[np.ndarray]:
     if policy != "lru":
-        ranks = requests.tolist()
-        lfu_flags = []
         for capacity in capacities:
             access = CacheState(capacity).access
-            lfu_flags.append(np.fromiter((access(r)[0] for r in ranks),
-                                         dtype=bool, count=requests.size))
-        return lfu_flags
+            # a whole-trace tolist() would hold every rank as a Python int
+            ranks = chain.from_iterable(
+                requests[start:start + _RANK_CHUNK].tolist()
+                for start in range(0, requests.size, _RANK_CHUNK))
+            yield np.fromiter((access(r)[0] for r in ranks), dtype=bool,
+                              count=requests.size)
+        return
     total = requests.size
     # the narrowest type that holds every rank: at 16 bits or fewer
     # numpy's stable sort is a radix sort
@@ -173,22 +184,21 @@ def replay(policy: str, requests: np.ndarray,
     prev[later] = earlier
     next_ = np.full(total, total, dtype=index_type)
     next_[earlier] = later
+    # the walks need only prev and next_; free the rest before yielding
+    del keys, order, sorted_keys, same, later, earlier
     repeats = prev >= 0
     firsts = np.flatnonzero(~repeats)
     prev_at, next_at = memoryview(prev), memoryview(next_)
-    lru_flags = []
     for capacity in capacities:
         flags = repeats.copy()
-        lru_flags.append(flags)
-        if firsts.size <= capacity:
-            continue                      # never full: nothing is evicted
-        fill = int(firsts[capacity - 1])
-        b = int(np.argmax(next_[:fill + 1] > fill))
-        hit_at = memoryview(flags)
-        for i in range(fill + 1, total):
-            if prev_at[i] < b:
-                hit_at[i] = False
-                b += 1
-            while next_at[b] <= i:        # stops at i at the latest
-                b += 1
-    return lru_flags
+        if firsts.size > capacity:        # else never full: no eviction
+            fill = int(firsts[capacity - 1])
+            b = int(np.argmax(next_[:fill + 1] > fill))
+            hit_at = memoryview(flags)
+            for i in range(fill + 1, total):
+                if prev_at[i] < b:
+                    hit_at[i] = False
+                    b += 1
+                while next_at[b] <= i:    # stops at i at the latest
+                    b += 1
+        yield flags

@@ -7,8 +7,8 @@ import json
 import os
 import sys
 
-from .analytics import (BandwidthParams, model_report, top_c_mass,
-                        top_c_mass_asymptotic, write_model_report_csv)
+from .analytics import (BandwidthParams, model_report, top_c_mass_asymptotic,
+                        write_model_report_csv)
 from .cache import POLICIES
 from .popularity import build_catalog
 from .simulator import (DEFAULT_ALPHAS, SimConfig, compare_run,
@@ -336,14 +336,14 @@ def cmd_estimate(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                   f"{args.objects}")
     params = BandwidthParams(k=args.k, cache_capacity=args.capacity,
                              rate_convention=args.rate)
-    if args.mode == "exact":
-        mass = top_c_mass(catalog, args.capacity)
-    else:
-        variant = "paper_literal" if args.mode == "paper" else "corrected"
-        mass = top_c_mass_asymptotic(catalog, args.capacity, variant)
     _, attr_seed = spawn_seeds(args.seed, 2)
     attrs = assign_attributes(args.objects, args.sizes, args.times, attr_seed)
     report = model_report(catalog, attrs, params, args.requests)
+    if args.mode == "exact":
+        mass = report.top_c_mass
+    else:
+        variant = "paper_literal" if args.mode == "paper" else "corrected"
+        mass = top_c_mass_asymptotic(catalog, args.capacity, variant)
     _atomic_write(args.out,
                   lambda p: write_model_report_csv(report, catalog, p))
     print(f"aggregate_bandwidth={report.aggregate_bandwidth:.6e} "

@@ -19,9 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytics import (BandwidthParams, aggregate_bandwidth, per_rank_rate,
-                        top_c_mass)
-from .cache import POLICIES, replay
+from .analytics import BandwidthParams, model_report, per_rank_rate
+from .cache import replay
 from .popularity import build_catalog
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
                        DEFAULT_TIME_RANGE, ObjectAttributes, Workload,
@@ -52,26 +51,12 @@ class SimConfig:
     rate_convention: str = "product"
 
     def __post_init__(self) -> None:
-        if self.n_objects < 1:
-            raise ValueError(f"n_objects must be >= 1, got {self.n_objects}")
-        if self.total_requests < 1:
-            raise ValueError(
-                f"total_requests must be >= 1, got {self.total_requests}")
-        if self.session_size < 1:
-            raise ValueError(
-                f"session_size must be >= 1, got {self.session_size}")
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"policy must be one of {POLICIES}, got {self.policy!r}")
+        # every other input is checked where it is consumed: the catalog,
+        # the workload draw, the replay and the bandwidth parameters
         if not self.alphas:
             raise ValueError("alpha list must be non-empty")
-        for a in self.alphas:
-            if a < 0:
-                raise ValueError(f"alpha must be >= 0, got {a}")
         if not self.capacities:
             raise ValueError("cache_capacity list must be non-empty")
-        for c in self.capacities:
-            BandwidthParams(self.k, c, self.rate_convention)
 
     @property
     def alphas(self) -> tuple[float, ...]:
@@ -118,6 +103,8 @@ class CapacityComparison(NamedTuple):
 def spawn_seeds(seed: int, n: int) -> list[int]:
     """The one seed rule: ``n`` independent 32-bit seeds from ``seed``.
     Every draw takes ``(workload_seed, attr_seed)`` from ``n=2``."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return [int(child.generate_state(1, np.uint32)[0])
             for child in np.random.SeedSequence(seed).spawn(n)]
 
@@ -243,8 +230,9 @@ def compare_run(config: SimConfig,
 
     A row holds the report's capacity, its hit ratio, the exact mass of
     the top ``C`` ranks, their absolute gap, and the report's total
-    imported bandwidth next to the model's aggregate under both rate
-    conventions. Only the catalog and attribute table are rebuilt.
+    imported bandwidth next to the model's aggregate, all read from one
+    :func:`~proxysim.analytics.model_report` per rate convention. Only
+    the catalog and attribute table are rebuilt.
     """
     _, attr_seed = spawn_seeds(config.seed, 2)
     catalog = build_catalog(config.n_objects, config.alpha)
@@ -253,23 +241,19 @@ def compare_run(config: SimConfig,
     rows = []
     for report in reports:
         capacity = report.config["cache_capacity"]
-        mass = top_c_mass(catalog, capacity)
-        model = {
-            conv: aggregate_bandwidth(
-                attrs,
-                BandwidthParams(k=config.k, cache_capacity=capacity,
-                                rate_convention=conv),
-                catalog, catalog.n_objects)
-            for conv in ("product", "ratio")
-        }
+        model = {conv: model_report(catalog, attrs,
+                                    BandwidthParams(config.k, capacity, conv),
+                                    config.total_requests)
+                 for conv in ("product", "ratio")}
+        mass = model["product"].top_c_mass
         rows.append(CapacityComparison(
             capacity=capacity,
             simulated_hit_ratio=report.hit_ratio,
             top_c_mass=mass,
             gap=abs(report.hit_ratio - mass),
             sim_bandwidth=report.total_bandwidth,
-            model_bandwidth_product=model["product"],
-            model_bandwidth_ratio=model["ratio"],
+            model_bandwidth_product=model["product"].aggregate_bandwidth,
+            model_bandwidth_ratio=model["ratio"].aggregate_bandwidth,
         ))
     return rows
 

@@ -215,3 +215,28 @@ def test_model_report_csv_format(tmp_path):
     assert float(p) == pytest.approx(cat.probabilities[0], rel=1e-10)
     assert float(miss) == pytest.approx(report.per_rank_miss[0], rel=1e-10)
     assert float(bw) == pytest.approx(report.per_rank_bandwidth[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("rate_convention", ["product", "ratio"])
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0])
+def test_scalar_functions_equal_model_report_exactly(k, rate_convention):
+    # one formula per term: every scalar function reads the same helper as
+    # model_report, so they agree to the last bit, not within a tolerance
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        cat = build_catalog(n, float(rng.uniform(0.0, 1.5)))
+        attrs = assign_attributes(n, seed=int(rng.integers(1 << 31)))
+        capacity = int(rng.integers(1, n + 1))
+        params = BandwidthParams(k, capacity, rate_convention)
+        r_requests = int(rng.integers(0, 5000))
+        report = model_report(cat, attrs, params, r_requests)
+        assert report.top_c_mass == top_c_mass(cat, capacity)
+        assert report.h_demand == hit_miss_on_demand(cat, r_requests, n)
+        assert report.aggregate_bandwidth == aggregate_bandwidth(
+            attrs, params, cat, n)
+        for rank in range(1, n + 1):
+            assert report.per_rank_miss[rank - 1] == miss_probability(
+                cat, rank, r_requests)
+            assert report.per_rank_bandwidth[rank - 1] == bandwidth_per_rank(
+                rank, attrs, params, cat)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proxysim import cache as cache_module
 from proxysim.cache import CacheState, replay
 from proxysim.popularity import build_catalog
 from proxysim.simulator import simulate_workload
@@ -70,7 +71,7 @@ def _hits(reference, ranks):
 
 def _assert_replay_matches(policy, reference, ranks, capacities):
     """``replay`` at every capacity equals a fresh reference cache."""
-    flags = replay(policy, np.array(ranks), capacities)
+    flags = list(replay(policy, np.array(ranks), capacities))
     assert len(flags) == len(capacities)
     for capacity, hits in zip(capacities, flags):
         assert hits.tolist() == _hits(reference(capacity), ranks), capacity
@@ -150,8 +151,8 @@ def test_single_object_one_cold_miss():
     assert _outcomes(CacheState(1), [1] * 20) == expected
     assert _outcomes(ReferenceLru(1), [1] * 20) == expected
     for policy in ("session_lfu", "lru", "lfu_classic"):
-        assert replay(policy, np.ones(20, dtype=np.int64),
-                      [1])[0].tolist() == [False] + [True] * 19
+        assert next(replay(policy, np.ones(20, dtype=np.int64),
+                           [1])).tolist() == [False] + [True] * 19
 
 
 def test_lfu_classic_equals_session_size_one():
@@ -180,8 +181,8 @@ def test_lru_differs_from_lfu_where_expected():
     assert lfu_out[3] == (False, 2)
     # a request for 1 now tells them apart: LRU misses, LFU hits
     ranks = [1, 1, 2, 3, 1]
-    assert not replay("lru", np.array(ranks), [2])[0][4]
-    assert replay("lfu_classic", np.array(ranks), [2])[0][4]
+    assert not next(replay("lru", np.array(ranks), [2]))[4]
+    assert next(replay("lfu_classic", np.array(ranks), [2]))[4]
     _assert_replay_matches("lru", ReferenceLru, ranks, [2])
 
 
@@ -190,7 +191,7 @@ def test_lru_recency_order():
     out = _outcomes(ReferenceLru(2), ranks)
     # rank 1 touched after 2, so 2 is the LRU victim
     assert out[3] == (False, 2)
-    assert replay("lru", np.array(ranks), [2])[0].tolist() == [
+    assert next(replay("lru", np.array(ranks), [2])).tolist() == [
         False, False, True, False, False, False]
     _assert_replay_matches("lru", ReferenceLru, ranks, [1, 2, 3])
 
@@ -255,6 +256,16 @@ def test_brute_force_equivalence_random_traces():
             assert count == ref.counts[rank]
         _assert_replay_matches("session_lfu", ReferenceCache, ranks,
                                [capacity, 1, n])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50])
+def test_lfu_replay_chunked_ranks_match_reference(monkeypatch, chunk):
+    # LFU replay converts ranks a chunk at a time; the boundaries between
+    # chunks must not change a single flag
+    monkeypatch.setattr(cache_module, "_RANK_CHUNK", chunk)
+    ranks = generate_workload(build_catalog(30, 0.7), 200, 200,
+                              seed=chunk).requests.tolist()
+    _assert_replay_matches("session_lfu", ReferenceCache, ranks, [1, 5, 30])
 
 
 def test_brute_force_equivalence_with_warm_start():

@@ -341,6 +341,52 @@ def test_run_trace_rejects_out_of_range_k(tmp_path, capsys):
     assert not (out_dir / "report.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("objects", "0", "n_objects must be >= 1, got 0"),
+    ("requests", "0", "total_requests must be >= 1, got 0"),
+    ("session", "0", "session_size must be >= 1, got 0"),
+    ("alpha", "-0.5", "alpha must be finite and >= 0, got -0.5"),
+    ("k", "1.5", "k must be in [0, 1], got 1.5"),
+    ("capacity", "0", "cache_capacity must be >= 1, got 0")])
+def test_bad_run_and_sweep_values_rejected(tmp_path, capsys, flag, value,
+                                           message):
+    # each value is rejected where the run consumes it: one error line,
+    # exit 1 and no output directory
+    values = {"objects": "20", "requests": "50", "alpha": "0.7",
+              "session": "10", "k": "1", "capacity": "5", flag: value}
+    plural = {"alpha": "alphas", "capacity": "capacities"}
+    for command in ("run", "sweep"):
+        out_dir = tmp_path / command
+        names = plural if command == "sweep" else {}
+        argv = [f"--{names.get(name, name)}={v}" for name, v in values.items()]
+        assert main([command, *argv, "--seed", "3",
+                     "--out-dir", str(out_dir)]) == 1
+        _assert_one_line_error(capsys, message)
+        assert not out_dir.exists()
+
+
+def test_negative_seed_rejected_by_every_command(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    assert main(_gen_args(trace, objects=10, requests=50)) == 0
+    point = ["--objects", "10", "--alpha", "0.7"]
+    out = tmp_path / "out"
+    commands = [
+        _gen_args(out, objects=10, requests=50, seed=-1),
+        ["run", *point, "--requests", "50", "--capacity", "5",
+         "--seed", "-1", "--out-dir", str(out)],
+        ["run", "--trace", str(trace), "--capacity", "5", "--seed", "-1",
+         "--out-dir", str(out)],
+        ["sweep", "--objects", "10", "--requests", "50", "--alphas", "0.7",
+         "--capacities", "5", "--seed", "-1", "--out-dir", str(out)],
+        ["estimate", *point, "--capacity", "5", "--seed", "-1",
+         "--out", str(out)],
+    ]
+    for argv in commands:
+        assert main(argv) == 1, argv
+        _assert_one_line_error(capsys, "seed must be >= 0, got -1")
+        assert not out.exists()
+
+
 def test_non_finite_attribute_ranges_rejected(tmp_path, capsys):
     point = ["--objects", "20", "--alpha", "0.7", "--capacity", "5",
              "--seed", "1"]
@@ -444,6 +490,10 @@ def test_estimate_prints_run_compare_model_bandwidth(tmp_path, capsys):
     model = dict(zip(header, row))
     assert printed == (f"aggregate_bandwidth="
                        f"{float(model['model_bandwidth_product']):.6e}")
+    # both files write model_report's aggregate to 10 digits
+    summary = (tmp_path / "m.csv").read_text().splitlines()[-1]
+    assert summary.split()[-1] == (f"aggregate_bandwidth="
+                                   f"{model['model_bandwidth_product']}")
 
 
 def test_sweep_base_seeds_share_no_alpha_seed(tmp_path, monkeypatch):

@@ -270,24 +270,20 @@ def test_default_alphas_grid():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        _config(n_objects=0)
-    with pytest.raises(ValueError):
-        _config(total_requests=0)
-    with pytest.raises(ValueError):
-        _config(cache_capacity=0)
-    with pytest.raises(ValueError):
-        _config(cache_capacity=(), k=1.5)
-    with pytest.raises(ValueError):
-        _config(alpha=-0.5)
+    # SimConfig checks only that its lists are non-empty; every other
+    # input is rejected where the run consumes it, before anything returns
     with pytest.raises(ValueError):
         _config(alpha=())
     with pytest.raises(ValueError):
-        _config(policy="mystery")
-    with pytest.raises(ValueError):
-        _config(k=1.5)
-    with pytest.raises(ValueError):
-        _config(rate_convention="per_second")
+        _config(cache_capacity=(), k=1.5)
+    for bad in (dict(n_objects=0), dict(total_requests=0),
+                dict(session_size=0), dict(cache_capacity=0),
+                dict(alpha=-0.5), dict(policy="mystery"), dict(k=1.5),
+                dict(rate_convention="per_second")):
+        with pytest.raises(ValueError):
+            run_simulation(_config(**bad))
+    with pytest.raises(ValueError, match="k must be in"):
+        sweep(_config(cache_capacity=(5, 10), k=1.5))
 
 
 def test_scalar_sweep_routing():

@@ -141,3 +141,16 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_library_block_runs():
+    # README's "Library use" block must run as written and print what its
+    # comment promises
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c", block], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    hit_ratio, mass = map(float, proc.stdout.split())
+    assert abs(hit_ratio - mass) < 0.002
