@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .popularity import ZipfCatalog
+from .popularity import ZipfCatalog, check_rank
 from .workload import ObjectAttributes
 
 ASYMPTOTIC_MODES = ("paper_literal", "corrected")
@@ -75,10 +75,12 @@ class ModelReport:
     aggregate_bandwidth: float
 
 
-def _check_rank(catalog: ZipfCatalog, value: int, name: str) -> None:
-    if not 1 <= value <= catalog.n_objects:
-        raise ValueError(
-            f"{name} must be in 1..{catalog.n_objects}, got {value}")
+def finite_total(total: float) -> float:
+    """``total``, unless an overflowing rate made it inf or NaN."""
+    if not np.isfinite(total):
+        raise ValueError(f"total bandwidth is {total}: size_range and "
+                         "time_range give rates past the float range")
+    return total
 
 
 def _miss_term(catalog: ZipfCatalog, r_requests: int,
@@ -102,7 +104,7 @@ def _model_bandwidth(catalog: ZipfCatalog, attributes: ObjectAttributes,
 def miss_probability(catalog: ZipfCatalog, rank: int, r_requests: int) -> float:
     """Probability that ``rank`` (1-based) is absent from ``r_requests``
     i.i.d. draws: ``(1 - p(rank))**R``, 1.0 for an empty stream."""
-    _check_rank(catalog, rank, "rank")
+    check_rank(catalog, rank, "rank")
     return float(_miss_term(catalog, r_requests, slice(rank - 1, rank))[0])
 
 
@@ -115,14 +117,14 @@ def hit_miss_on_demand(catalog: ZipfCatalog, r_requests: int,
     after ``R`` requests. Equals the plain top-rank mass at ``R = 0``
     and vanishes geometrically as ``R`` grows.
     """
-    _check_rank(catalog, upper_rank, "upper_rank")
+    check_rank(catalog, upper_rank, "upper_rank")
     return float(np.sum(catalog.probabilities[:upper_rank]
                         * _miss_term(catalog, r_requests, slice(upper_rank))))
 
 
 def top_c_mass(catalog: ZipfCatalog, c: int) -> float:
     """Exact probability mass of the ``c`` most popular ranks."""
-    _check_rank(catalog, c, "c")
+    check_rank(catalog, c, "c")
     return float(catalog.probabilities[:c].sum())
 
 
@@ -139,20 +141,23 @@ def top_c_mass_asymptotic(catalog: ZipfCatalog, c: int, mode: str) -> float:
     Raises
     ------
     ValueError
-        If ``alpha == 1`` (both closed forms are singular there) or the
-        mode is unknown.
+        If ``alpha == 1`` (both closed forms are singular there), the
+        corrected form overflows, or the mode is unknown.
     """
     if mode not in ASYMPTOTIC_MODES:
         raise ValueError(
             f"mode must be one of {ASYMPTOTIC_MODES}, got {mode!r}")
-    _check_rank(catalog, c, "c")
+    check_rank(catalog, c, "c")
     alpha = catalog.alpha
     if alpha == 1.0:
         raise ValueError("asymptotic mass is singular at alpha = 1")
     if mode == "paper_literal":
         return alpha * c ** (1.0 - alpha)
     e = 1.0 - alpha
-    return catalog.normalizer * ((c + 0.5) ** e - 0.5 ** e) / e
+    try:
+        return catalog.normalizer * ((c + 0.5) ** e - 0.5 ** e) / e
+    except OverflowError:   # 0.5**e is past the float range
+        raise ValueError(f"corrected mass overflows, alpha {alpha}") from None
 
 
 def bandwidth_per_rank(rank: int, attributes: ObjectAttributes,
@@ -164,7 +169,7 @@ def bandwidth_per_rank(rank: int, attributes: ObjectAttributes,
     time) is weighted by ``k`` and by the exact mass of the top
     ``params.cache_capacity`` ranks.
     """
-    _check_rank(catalog, rank, "rank")
+    check_rank(catalog, rank, "rank")
     return float(_model_bandwidth(catalog, attributes, params,
                                   slice(rank - 1, rank))[0])
 
@@ -174,7 +179,7 @@ def aggregate_bandwidth(attributes: ObjectAttributes,
                         n_ranks: int) -> float:
     """Total estimated bandwidth over ranks ``1..n_ranks``: the sum of
     :func:`bandwidth_per_rank` over them, so linear in ``k``."""
-    _check_rank(catalog, n_ranks, "n_ranks")
+    check_rank(catalog, n_ranks, "n_ranks")
     return float(_model_bandwidth(catalog, attributes, params,
                                   slice(n_ranks)).sum())
 
@@ -208,7 +213,7 @@ def model_report(catalog: ZipfCatalog, attributes: ObjectAttributes,
         h_demand=hit_miss_on_demand(catalog, r_requests, n),
         top_c_mass=top_c_mass(catalog, params.cache_capacity),
         per_rank_bandwidth=per_rank_bandwidth,
-        aggregate_bandwidth=float(per_rank_bandwidth.sum()),
+        aggregate_bandwidth=finite_total(float(per_rank_bandwidth.sum())),
     )
 
 

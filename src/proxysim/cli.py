@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .analytics import (BandwidthParams, model_report, top_c_mass_asymptotic,
-                        write_model_report_csv)
+from .analytics import (RATE_CONVENTIONS, BandwidthParams, model_report,
+                        top_c_mass_asymptotic, write_model_report_csv)
 from .cache import POLICIES
 from .popularity import build_catalog
 from .simulator import (DEFAULT_ALPHAS, SimConfig, compare_run,
                         run_simulation, simulate_workload, spawn_seeds, sweep,
-                        write_comparison_csv, write_report_csv,
+                        write_comparison_csv, write_json, write_report_csv,
                         write_summary_json)
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
                        DEFAULT_TIME_RANGE, assign_attributes, generate_workload,
@@ -93,7 +92,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="channel access time range in ms (default 1,10)")
     p.add_argument("--k", type=float, default=1.0,
                    help="packet-loss threshold factor in [0,1] (default 1)")
-    p.add_argument("--rate", choices=("product", "ratio"), default="product",
+    p.add_argument("--rate", choices=RATE_CONVENTIONS, default="product",
                    help="per-rank rate: size*time (kb*ms) or size/time "
                         "(kb/ms) (default product)")
 
@@ -239,12 +238,21 @@ def _sim_config(args: argparse.Namespace, alpha, capacity) -> SimConfig:
         k=args.k, rate_convention=args.rate)
 
 
+def _require_capacity_fits(sub: argparse.ArgumentParser,
+                           args: argparse.Namespace) -> None:
+    """The model's top-C mass needs C <= N: a usage error before any draw."""
+    if 1 <= args.objects < args.capacity:
+        sub.error(f"--capacity {args.capacity} exceeds --objects "
+                  f"{args.objects}")
+
+
 def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require(sub, args, "capacity", "seed", "out-dir")
     if args.trace is None:
         _require(sub, args, "objects", "requests", "alpha")
-        config = _sim_config(args, args.alpha, args.capacity)
-        report = run_simulation(config)
+        if args.compare:
+            _require_capacity_fits(sub, args)
+        report = run_simulation(_sim_config(args, args.alpha, args.capacity))
     else:
         if args.compare:
             sub.error("--compare requires generation flags, not --trace")
@@ -262,7 +270,7 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         report = simulate_workload(workload, attrs, [args.capacity],
                                    args.policy, args.k, args.rate, echo)[0]
 
-    comparison = compare_run(config, [report]) if args.compare else None
+    comparison = compare_run([report]) if args.compare else None
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.csv")
@@ -317,13 +325,7 @@ def cmd_sweep(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "summary_json": os.path.basename(summary_path),
         })
     manifest_path = os.path.join(args.out_dir, "manifest.json")
-
-    def _write_manifest(p: str) -> None:
-        with open(p, "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
-
-    _atomic_write(manifest_path, _write_manifest)
+    _atomic_write(manifest_path, lambda p: write_json(manifest, p))
     print(f"wrote {len(reports)} reports and manifest.json to {args.out_dir}")
     return 0
 
@@ -331,11 +333,8 @@ def cmd_sweep(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 def cmd_estimate(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require(sub, args, "objects", "alpha", "capacity", "seed", "out")
     catalog = build_catalog(args.objects, args.alpha)
-    if args.capacity > catalog.n_objects:
-        sub.error(f"--capacity {args.capacity} exceeds --objects "
-                  f"{args.objects}")
-    params = BandwidthParams(k=args.k, cache_capacity=args.capacity,
-                             rate_convention=args.rate)
+    _require_capacity_fits(sub, args)
+    params = BandwidthParams(args.k, args.capacity, args.rate)
     _, attr_seed = spawn_seeds(args.seed, 2)
     attrs = assign_attributes(args.objects, args.sizes, args.times, attr_seed)
     report = model_report(catalog, attrs, params, args.requests)
@@ -374,11 +373,14 @@ def main(argv=None) -> int:
             # file values become defaults, so the flags parsed again win
             _apply_config_file(sub, args.config)
             args = parser.parse_args(argv)
+        if [] in vars(args).values():   # argparse stores --flag=-- as []
+            sub.error("-- is not a flag value")
         return _COMMANDS[args.command](sub, args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, ValueError) as exc:
-        print(f"proxysim {args.command}: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError, OverflowError) as exc:
+        message = str(exc) or "out of memory"   # a bare MemoryError
+        print(f"proxysim {args.command}: error: {message}", file=sys.stderr)
         return 1
 
 

@@ -10,7 +10,7 @@ partial sums of the underlying power series for complex exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,6 @@ class ZipfCatalog:
     alpha: float
     normalizer: float
     probabilities: np.ndarray
-    _cdf: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        cdf = np.cumsum(self.probabilities)
-        cdf[-1] = 1.0  # guard the open edge of the sampler's uniform draw
-        object.__setattr__(self, "_cdf", cdf)
 
 
 @dataclass(frozen=True)
@@ -113,15 +107,18 @@ def build_catalog(n_objects: int, alpha: float) -> ZipfCatalog:
         raise ValueError(f"n_objects must be >= 1, got {n_objects}")
     if not math.isfinite(alpha) or alpha < 0:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    normalizer = 1.0 / generalized_harmonic(n_objects, alpha)
     ranks = np.arange(1, n_objects + 1, dtype=np.float64)
-    weights = np.power(ranks, -alpha)
-    normalizer = 1.0 / float(weights.sum())
-    return ZipfCatalog(
-        n_objects=int(n_objects),
-        alpha=float(alpha),
-        normalizer=normalizer,
-        probabilities=weights * normalizer,
-    )
+    return ZipfCatalog(n_objects=int(n_objects), alpha=float(alpha),
+                       normalizer=normalizer,
+                       probabilities=np.power(ranks, -alpha) * normalizer)
+
+
+def check_rank(catalog: ZipfCatalog, value: int, name: str) -> None:
+    """The one check of a 1-based rank or rank count against the catalog."""
+    if not 1 <= value <= catalog.n_objects:
+        raise ValueError(
+            f"{name} must be in 1..{catalog.n_objects}, got {value}")
 
 
 def probability(catalog: ZipfCatalog, rank: int) -> float:
@@ -133,25 +130,17 @@ def probability(catalog: ZipfCatalog, rank: int) -> float:
         If ``rank`` is outside ``1..catalog.n_objects``; an out-of-range
         rank is a caller bug, never a silent zero.
     """
-    if not 1 <= rank <= catalog.n_objects:
-        raise ValueError(
-            f"rank {rank} outside catalog of {catalog.n_objects} objects"
-        )
+    check_rank(catalog, rank, "rank")
     return float(catalog.probabilities[rank - 1])
 
 
 def sample_ranks(
     catalog: ZipfCatalog, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``size`` i.i.d. ranks from the catalog distribution.
-
-    Inverse-CDF sampling: each uniform draw is located in the precomputed
-    cumulative array by binary search. Consumes the stream exactly as
-    ``size`` single draws would, so bulk and one-at-a-time sampling agree
-    element for element on a shared seed.
-    """
-    u = rng.random(size)
-    return np.searchsorted(catalog._cdf, u, side="right").astype(np.int64) + 1
+    """Draw ``size`` i.i.d. ranks by inverse CDF: numpy's weighted
+    ``Generator.choice`` takes one uniform draw per rank, so bulk and
+    one-at-a-time sampling agree element for element on a shared seed."""
+    return rng.choice(catalog.n_objects, size, p=catalog.probabilities) + 1
 
 
 def power_modulus(n: int, s: ComplexExponent) -> float:

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytics import BandwidthParams, model_report, per_rank_rate
+from .analytics import (RATE_CONVENTIONS, BandwidthParams, finite_total,
+                        model_report, per_rank_rate)
 from .cache import replay
 from .popularity import build_catalog
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
@@ -146,7 +147,7 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
             imported_bandwidth=imported,
             hit_ratio=hit_ratio,
             miss_ratio=1.0 - hit_ratio,
-            total_bandwidth=float(imported.sum()),
+            total_bandwidth=finite_total(float(imported.sum())),
             config={**echo, "cache_capacity": capacity},
         ))
     return reports
@@ -163,14 +164,10 @@ def _simulate_alpha(config: SimConfig) -> list[SimReport]:
                                  config.session_size, workload_seed)
     attrs = assign_attributes(config.n_objects, config.size_range,
                               config.time_range, attr_seed)
-    echo = {
-        "alpha": config.alpha,
-        "seed": config.seed,
-        "workload_seed": workload_seed,
-        "attr_seed": attr_seed,
-        "size_range": list(config.size_range),
-        "time_range": list(config.time_range),
-    }
+    echo = {"alpha": config.alpha, "seed": config.seed,
+            "workload_seed": workload_seed, "attr_seed": attr_seed,
+            "size_range": list(config.size_range),
+            "time_range": list(config.time_range)}
     return simulate_workload(workload, attrs, config.capacities,
                              config.policy, config.k, config.rate_convention,
                              echo)
@@ -223,28 +220,29 @@ def sweep(config: SimConfig) -> list[SimReport]:
     return [report for reports in per_alpha for report in reports]
 
 
-def compare_run(config: SimConfig,
-                reports: list[SimReport]) -> list[CapacityComparison]:
-    """Put each report of the config's scalar alpha next to the
-    closed-form model, one row per report.
+def compare_run(reports: list[SimReport]) -> list[CapacityComparison]:
+    """Put each report next to the closed-form model, one row per report.
 
     A row holds the report's capacity, its hit ratio, the exact mass of
     the top ``C`` ranks, their absolute gap, and the report's total
-    imported bandwidth next to the model's aggregate, all read from one
-    :func:`~proxysim.analytics.model_report` per rate convention. Only
-    the catalog and attribute table are rebuilt.
+    imported bandwidth next to the model's aggregate per rate convention,
+    all read from :func:`~proxysim.analytics.model_report` over the
+    catalog and attribute table that the report's config echo records.
+    A trace replay's echo has no ``alpha``: a ``ValueError``.
     """
-    _, attr_seed = spawn_seeds(config.seed, 2)
-    catalog = build_catalog(config.n_objects, config.alpha)
-    attrs = assign_attributes(config.n_objects, config.size_range,
-                              config.time_range, attr_seed)
     rows = []
     for report in reports:
-        capacity = report.config["cache_capacity"]
+        echo = report.config
+        if "alpha" not in echo:
+            raise ValueError("a trace replay's report has no alpha to model")
+        catalog = build_catalog(echo["n_objects"], echo["alpha"])
+        attrs = assign_attributes(echo["n_objects"], echo["size_range"],
+                                  echo["time_range"], echo["attr_seed"])
+        capacity = echo["cache_capacity"]
         model = {conv: model_report(catalog, attrs,
-                                    BandwidthParams(config.k, capacity, conv),
-                                    config.total_requests)
-                 for conv in ("product", "ratio")}
+                                    BandwidthParams(echo["k"], capacity, conv),
+                                    echo["total_requests"])
+                 for conv in RATE_CONVENTIONS}
         mass = model["product"].top_c_mass
         rows.append(CapacityComparison(
             capacity=capacity,
@@ -262,7 +260,7 @@ def compare_analytic(config: SimConfig) -> list[CapacityComparison]:
     """Measure hit ratios against the closed-form top-rank mass: the
     :func:`compare_run` table of one replay of the config's scalar alpha
     at each of its capacities."""
-    return compare_run(config, _simulate_alpha(config))
+    return compare_run(_simulate_alpha(config))
 
 
 def fit_power_law(counts, max_rank: int) -> tuple[float, float]:
@@ -312,9 +310,16 @@ def write_report_csv(report: SimReport, path: str) -> None:
                     f"{report.imported_bandwidth[i]:.10e}\n")
 
 
+def write_json(payload: dict, path: str) -> None:
+    """Write ``payload`` as deterministic JSON: sorted keys, indent 2."""
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def write_summary_json(report: SimReport, path: str) -> None:
     """Write run totals and the config echo as deterministic JSON."""
-    payload = {
+    write_json({
         "totals": {
             "hit_ratio": report.hit_ratio,
             "miss_ratio": report.miss_ratio,
@@ -324,10 +329,7 @@ def write_summary_json(report: SimReport, path: str) -> None:
             "total_misses": int(report.misses.sum()),
         },
         "config": report.config,
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    }, path)
 
 
 def write_comparison_csv(rows: list[CapacityComparison], path: str) -> None:

@@ -195,6 +195,26 @@ def test_model_report_fields_and_ranges():
         hit_miss_on_demand(cat, 10 ** 5, 200), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_model_report_rejects_non_finite_aggregate():
+    # each rate s*t overflows to inf: an error naming the ranges, not an
+    # inf aggregate
+    cat = build_catalog(4, 0.7)
+    attrs = _attrs([1e308] * 4, [10.0] * 4)
+    with pytest.raises(ValueError, match="size_range and time_range"):
+        model_report(cat, attrs, BandwidthParams(k=1.0, cache_capacity=2), 10)
+    ratio = BandwidthParams(k=1.0, cache_capacity=2, rate_convention="ratio")
+    assert np.isfinite(model_report(cat, attrs, ratio, 10).aggregate_bandwidth)
+
+
+def test_asymptotic_corrected_overflow_is_value_error():
+    # 0.5**(1 - alpha) is past the float range for large alpha
+    with pytest.raises(ValueError, match="corrected mass overflows"):
+        top_c_mass_asymptotic(build_catalog(10, 2000.0), 3, "corrected")
+    assert top_c_mass_asymptotic(build_catalog(10, 2000.0), 3,
+                                 "paper_literal") == 0.0
+
+
 def test_model_report_csv_format(tmp_path):
     cat = build_catalog(5, 0.5)
     attrs = assign_attributes(5, seed=3)

@@ -546,3 +546,92 @@ def test_config_flag_abbreviations_load_the_file(tmp_path):
         (tmp_path / "c.trace").unlink(missing_ok=True)
         assert main(argv) == 0
         assert (tmp_path / "c.trace").exists()
+
+
+def test_compare_capacity_above_objects_is_usage_error(tmp_path, capsys,
+                                                      monkeypatch):
+    # the model's top-C mass needs C <= N: run --compare and estimate
+    # share one check, made before any draw
+    point = ["--objects", "100", "--alpha", "0.7", "--capacity", "200",
+             "--seed", "1"]
+    out_dir, model = tmp_path / "run", tmp_path / "model.csv"
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the check must come before any draw")
+
+    monkeypatch.setattr(simulator, "generate_workload", no_draw)
+    assert main(["run", *point, "--requests", "50", "--compare",
+                 "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "proxysim run: error: --capacity 200 exceeds --objects 100")
+    assert not out_dir.exists()
+    assert main(["estimate", *point, "--out", str(model)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "proxysim estimate: error: --capacity 200 exceeds --objects 100")
+    assert not model.exists()
+    # without the model a cache larger than the catalog is a valid replay
+    monkeypatch.undo()
+    assert main(["run", *point, "--requests", "50",
+                 "--out-dir", str(out_dir)]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_overflowing_bandwidth_is_an_error(tmp_path, capsys):
+    # s*t overflows to inf and 0*inf is NaN: exit 1 with one error line,
+    # never a NaN or inf total in a written file
+    model = ["--sizes", "1e308,1e308", "--times", "10,10", "--seed", "1"]
+    out = tmp_path / "out"
+    for argv in (
+            ["run", "--objects", "10", "--requests", "10", "--alpha", "0.7",
+             "--capacity", "2", *model, "--out-dir", str(out)],
+            ["sweep", "--objects", "10", "--requests", "10", "--alphas",
+             "0.7", "--capacities", "2", *model, "--out-dir", str(out)],
+            ["estimate", "--objects", "10", "--alpha", "0.7",
+             "--capacity", "2", *model, "--out", str(out)]):
+        assert main(argv) == 1, argv
+        _assert_one_line_error(capsys, "size_range and time_range")
+        assert not out.exists()
+
+
+_HUGE = str(10 ** 15)   # 8 bytes each exceed the address space
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--objects", "10", "--requests", _HUGE, "--alpha", "0.7"],
+    ["estimate", "--objects", _HUGE, "--alpha", "0.7", "--capacity", "5"],
+    ["run", "--objects", _HUGE, "--requests", "10", "--alpha", "0.7",
+     "--capacity", "5"],
+    ["sweep", "--objects", _HUGE, "--requests", "10", "--alphas", "0.7"],
+    ["gen", "--objects", "10", "--requests", str(10 ** 30), "--alpha", "1"]])
+def test_unallocatable_sizes_are_one_line_errors(tmp_path, capsys, argv):
+    # numpy refuses these sizes before allocating anything: a MemoryError
+    # at 10**15, an OverflowError or ValueError at 10**30
+    out = tmp_path / "out"
+    flag = "--out" if argv[0] in ("gen", "estimate") else "--out-dir"
+    assert main([*argv, "--seed", "1", flag, str(out)]) == 1
+    _assert_one_line_error(capsys, f"proxysim {argv[0]}: error: ")
+    assert not out.exists()
+
+
+def test_bare_memory_error_reads_out_of_memory(tmp_path, capsys,
+                                               monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("proxysim.cli.generate_workload", exhausted)
+    out = tmp_path / "t.trace"
+    assert main(_gen_args(out)) == 1
+    _assert_one_line_error(capsys, "proxysim gen: error: out of memory")
+    assert not out.exists()
+
+
+def test_double_dash_flag_value_is_usage_error(tmp_path, capsys):
+    # argparse stores --flag=-- as an empty list instead of calling the
+    # flag's type on it
+    out = tmp_path / "model.csv"
+    assert main(["estimate", "--objects=10", "--alpha", "0.7",
+                 "--capacity=--", "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "proxysim estimate: error: -- is not a flag value")
+    assert not out.exists()

@@ -89,6 +89,33 @@ def test_probability_lookup_and_range_check():
         probability(cat3, 0)
 
 
+def test_probability_out_of_range_message():
+    # the one rank check of the package names the catalog's range
+    with pytest.raises(ValueError, match=r"^rank must be in 1\.\.5, got 7$"):
+        probability(build_catalog(5, 0.7), 7)
+
+
+def _inverse_cdf_ranks(cat, size, rng):
+    """Reference sampler: each uniform located in the cumulative
+    probabilities, the last edge pinned to 1."""
+    cdf = np.cumsum(cat.probabilities)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, rng.random(size), side="right") + 1
+
+
+def test_sample_ranks_match_inverse_cdf_reference():
+    # numpy's weighted choice must draw the very ranks of a plain
+    # inverse-CDF search over the same stream
+    for n in (1, 3, 100, 10 ** 4):
+        for alpha in (0.0, 0.31, 0.64, 0.98, 1.0, 2.5):
+            cat = build_catalog(n, alpha)
+            for seed in (0, 1, 2):
+                drawn = sample_ranks(cat, 200_000, np.random.default_rng(seed))
+                want = _inverse_cdf_ranks(cat, 200_000,
+                                          np.random.default_rng(seed))
+                assert np.array_equal(drawn, want), (n, alpha, seed)
+
+
 def test_sample_rank_single_object():
     cat = build_catalog(1, 0.98)
     rng = np.random.default_rng(123)

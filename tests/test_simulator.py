@@ -8,11 +8,11 @@ from proxysim import simulator
 from proxysim.analytics import top_c_mass
 from proxysim.popularity import build_catalog
 from proxysim.simulator import (DEFAULT_ALPHAS, SimConfig, compare_analytic,
-                                fit_power_law, run_simulation,
+                                compare_run, fit_power_law, run_simulation,
                                 simulate_workload, sweep, write_comparison_csv,
                                 write_report_csv, write_summary_json)
-from proxysim.workload import (Workload, assign_attributes, generate_workload,
-                               rank_histogram)
+from proxysim.workload import (ObjectAttributes, Workload, assign_attributes,
+                               generate_workload, rank_histogram)
 
 
 def _config(**overrides):
@@ -185,6 +185,46 @@ def test_compare_analytic_full_cache():
     assert row.gap <= 50 / 20000
     assert row.model_bandwidth_product > 0
     assert row.model_bandwidth_ratio > 0
+
+
+def test_compare_run_reads_each_report_echo(monkeypatch):
+    # every sweep point is compared against its own alpha, seed and
+    # capacity, as recorded in its config echo
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: 1)
+    config = _config(alpha=(0.5, 0.9), cache_capacity=(5, 20), k=0.6,
+                     total_requests=3000, rate_convention="ratio")
+    reports = sweep(config)
+    for report, row in zip(reports, compare_run(reports), strict=True):
+        echo = report.config
+        twin = compare_analytic(_config(
+            alpha=echo["alpha"], cache_capacity=echo["cache_capacity"],
+            seed=echo["seed"], k=0.6, total_requests=3000,
+            rate_convention="ratio"))
+        assert [row] == twin
+
+
+def test_compare_run_rejects_trace_replay_report():
+    # a trace replay's echo records no alpha, so there is no model to
+    # compare it with
+    workload = generate_workload(build_catalog(20, 0.7), 200, 10, seed=1)
+    echo = {"trace": "t.trace", "seed": 2, "attr_seed": 2,
+            "size_range": [1.0, 15.0], "time_range": [1.0, 10.0]}
+    report = simulate_workload(workload, assign_attributes(20, seed=2), [5],
+                               "lru", 1.0, "product", echo)[0]
+    with pytest.raises(ValueError, match="alpha"):
+        compare_run([report])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_simulate_workload_rejects_non_finite_total():
+    # s*t overflows to inf and a rank with no misses gives 0*inf = NaN;
+    # neither may reach a report
+    workload = generate_workload(build_catalog(10, 0.7), 10, 10, seed=1)
+    attrs = ObjectAttributes(sizes=np.full(10, 1e308),
+                             channel_times=np.full(10, 10.0))
+    with pytest.raises(ValueError, match="size_range and time_range"):
+        simulate_workload(workload, attrs, [2], "lru", 1.0, "product", {})
 
 
 def test_compare_analytic_zero_k():

@@ -60,6 +60,18 @@ def test_demo_imports_exist():
                         f"{demo.name}: {node.module}.{alias.name} is missing"
 
 
+@pytest.mark.parametrize("demo", ["popularity_model", "zeta_tail_terms",
+                                  "replacement_policies",
+                                  "model_vs_simulation"])
+def test_demo_runs(demo, tmp_path):
+    # a demo broken by API drift must fail here, not in a reader's hands
+    proc = subprocess.run([sys.executable, str(DEMOS / f"{demo}.py")],
+                          cwd=tmp_path, env=_src_env(), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
 def test_benchmark_tracer_records_layer_spans(tmp_path):
     # bench/tracer.py wraps package functions by name; a rename must
     # fail here rather than leave the benchmark's per-layer spans empty
