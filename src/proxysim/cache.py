@@ -12,12 +12,21 @@ baseline.
 
 The LFU victim search keeps every resident but the newest admission in a
 heap whose stored counts are lower bounds; the newest admission waits
-in a pending slot, and since it loses every count tie it is the usual
-victim, evicted without a heap operation.
+in a pending slot. A count tie evicts the older entry, so the pending
+entry goes only when its count is below every other. Being new, it
+usually is, and it is evicted without a heap operation.
 
 :func:`replay` is the one entry point for a whole request array: it
 yields the hit flags of a fresh cache at each of several capacities.
-LFU replays call ``CacheState.access`` once per request and capacity.
+LFU replay is exact without a Python call per request. A full LFU
+cache is a set S of ``C - 1`` residents plus the pending slot, and S
+changes only at a swap, a miss that evicts a member of S in place of
+the pending entry. Between swaps a request hits iff its rank is in S or
+repeats the previous request outside S, so windows of requests are
+resolved in numpy, and only the rare misses whose pending count may
+reach the smallest count in S are checked against the heap. Where
+swaps come too often for windows to pay, the replay hands its state to
+a ``CacheState`` and calls ``access`` per request until they thin out.
 LRU needs no cache object: it is a stack algorithm, so a request hits
 exactly when the previous request for its rank is among the last
 requests of the ``C`` most recently used ranks. The previous and next
@@ -30,12 +39,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from heapq import heappush, heapreplace
-from itertools import chain
 
 import numpy as np
 
 POLICIES = ("session_lfu", "lru", "lfu_classic")
-_RANK_CHUNK = 1 << 16   # ranks converted to Python ints at a time
+_FIRST_WINDOW = 64      # requests in the first LFU window
+_SPAN = 1 << 14         # requests between checks of the LFU swap rate
+_SWAP_COST = 100        # a windowed swap costs about as many access() hits
 
 
 class CacheState:
@@ -48,12 +58,13 @@ class CacheState:
     every other resident, whose stored count may lag the current count
     but never exceeds it. ``heap[0][0]`` is therefore a lower bound on
     the count of every non-pending resident, and the pending entry, with
-    the largest ``insertion_seq``, loses every tie. A miss on a full
+    the largest ``insertion_seq``, survives every count tie. A miss on a full
     cache evicts the pending entry outright when its count is below
     that bound; otherwise it refreshes lagging counts at the top and
     either evicts the pending entry or swaps it in for the top with one
     ``heapreplace``. Admissions into a cache that is not full move the
-    previous pending entry into the heap.
+    previous pending entry into the heap. ``swaps`` counts the misses
+    that evicted a resident other than the pending entry.
 
     ``warm`` pre-populates the cache with at most ``capacity`` distinct
     ranks, admitted at count 0 in ascending insertion order without
@@ -78,6 +89,7 @@ class CacheState:
         # the newest admission, kept out of the heap; None only when empty
         self._pending = self._heap.pop()[2] if self._heap else None
         self.next_seq = len(self._resident)
+        self.swaps = 0
 
     def __contains__(self, rank: int) -> bool:
         return rank in self._resident
@@ -114,6 +126,7 @@ class CacheState:
                 current = counts[top]
                 if current == count:              # top is current: it wins
                     evicted = top
+                    self.swaps += 1
                     heapreplace(heap,
                                 (pending_count, resident[pending], pending))
                     break
@@ -134,11 +147,34 @@ def replay(policy: str, requests: np.ndarray,
     each capacity in turn, so a caller can drop each before the next.
 
     The policy and every capacity are checked here, before any replay.
-    LFU names run ``CacheState.access`` on each request, once per
-    capacity, converting ranks to Python ints a chunk at a time. ``lru``
-    finds ``prev[i]`` and ``next[i]``, the previous and next positions of
-    request ``i``'s rank (-1 and ``len(requests)`` when there is none),
-    once for all capacities and walks the trace once per capacity:
+    Ranks are non-negative ints; LFU replay keeps arrays indexed by them.
+
+    LFU names give the flags of ``CacheState.access``, found in phases:
+
+    - Up to the fill point, where the ``capacity``-th distinct rank
+      arrives, nothing is evicted, so a request hits iff its rank came
+      before.
+    - After it the cache holds a set S of ``capacity - 1`` residents and
+      the pending entry, the newest admission. A request in S hits; one
+      outside S hits iff it repeats the previous request outside S, the
+      pending rank. Any other request misses and evicts the pending
+      entry, unless the pending count reaches the smallest count in S,
+      whose oldest entry then swaps places with it. Windows of requests
+      are resolved this way in numpy with S fixed: 64 at first, doubling
+      after a window without a swap and shrinking after one. Only the
+      misses whose pending count may reach the heap's lower bound on S
+      are checked against the heap, and a swap ends the window.
+    - Every ``_SPAN`` requests the swap rate is checked. Where windows
+      would cost more than ``access`` calls, the counts, the residents
+      in admission order, the heap and the pending rank pass to a
+      ``CacheState``, which takes the following spans a request at a
+      time and hands them back once swaps thin out.
+
+    Beside the flags the LFU replay keeps only arrays over ranks and
+    per-window temporaries. ``lru`` finds ``prev[i]`` and ``next[i]``,
+    the previous and next positions of request ``i``'s rank (-1 and
+    ``len(requests)`` when there is none), once for all capacities and
+    walks the trace once per capacity:
 
     - Up to ``fill``, where the ``capacity``-th distinct rank arrives,
       nothing is evicted, so a request hits iff ``prev[i] >= 0``.
@@ -161,13 +197,7 @@ def _replay(policy: str, requests: np.ndarray,
             capacities: Sequence[int]) -> Iterator[np.ndarray]:
     if policy != "lru":
         for capacity in capacities:
-            access = CacheState(capacity).access
-            # a whole-trace tolist() would hold every rank as a Python int
-            ranks = chain.from_iterable(
-                requests[start:start + _RANK_CHUNK].tolist()
-                for start in range(0, requests.size, _RANK_CHUNK))
-            yield np.fromiter((access(r)[0] for r in ranks), dtype=bool,
-                              count=requests.size)
+            yield _lfu_flags(requests, capacity)
         return
     total = requests.size
     # the narrowest type that holds every rank: at 16 bits or fewer
@@ -202,3 +232,184 @@ def _replay(policy: str, requests: np.ndarray,
                 while next_at[b] <= i:    # stops at i at the latest
                     b += 1
         yield flags
+
+
+def _lfu_flags(requests: np.ndarray, capacity: int) -> np.ndarray:
+    """Hit flags of a fresh LFU cache of ``capacity``; see :func:`replay`."""
+    flags = np.empty(requests.size, dtype=bool)
+    state = _LfuState(requests, capacity, flags)
+    cache = None                  # a CacheState while swaps are dense
+    while state.at < requests.size:
+        start = state.at
+        end = min(start + _SPAN, requests.size)
+        if cache is None:
+            swaps, misses = state.windows(end)
+        else:
+            before, access = cache.swaps, cache.access
+            flags[start:end] = np.fromiter(
+                (access(r)[0] for r in requests[start:end].tolist()),
+                dtype=bool, count=end - start)
+            swaps = cache.swaps - before
+            misses = end - start - np.count_nonzero(flags[start:end])
+            state.at = end
+        # the span's cost in access() calls, a miss costing two hits,
+        # against the cost of its swaps in windows
+        dense = swaps * _SWAP_COST > state.at - start + misses
+        if state.at == requests.size:
+            break
+        if dense and cache is None:
+            cache = state.handover()
+        elif not dense and cache is not None:
+            state.resume(cache)
+            cache = None
+    return flags
+
+
+class _LfuState:
+    """A full LFU cache as arrays over ranks, replayed a window at a time.
+
+    It holds the set S of residents other than the pending one, the
+    count of every rank, ``CacheState``'s lazy heap over S, and the
+    pending rank with the position that admitted it. Admission positions
+    order residents as ``next_seq`` does.
+    """
+
+    def __init__(self, requests: np.ndarray, capacity: int,
+                 flags: np.ndarray):
+        """Flags every request up to the fill point, where the
+        ``capacity``-th distinct rank arrives, and takes the state just
+        after it; ``at`` is past the end when the cache never fills. Up
+        to the fill point nothing is evicted, so a request hits iff its
+        rank came before."""
+        self.requests, self.flags = requests, flags
+        total = requests.size
+        first = np.full(int(requests.max(initial=0)) + 1, total)
+        distinct, start, width = 0, 0, _FIRST_WINDOW
+        while start < total:
+            stop = min(start + width, total)
+            ranks, at = np.unique(requests[start:stop], return_index=True)
+            new = first[ranks] == total
+            ranks, at = ranks[new], at[new] + start
+            first[ranks] = at
+            flags[start:stop] = True
+            flags[at] = False
+            if distinct + ranks.size >= capacity:
+                fill = int(np.sort(at)[capacity - distinct - 1])
+                break
+            distinct += ranks.size
+            start, width = stop, min(2 * width, _SPAN)
+        else:
+            self.at = total
+            return
+        self.at = fill + 1            # the next request to resolve
+        self.width = _FIRST_WINDOW
+        self.counts = np.bincount(requests[:fill + 1], minlength=first.size)
+        self.tally = np.zeros_like(self.counts)   # zero between windows
+        self.members = first < fill   # rank -> in S
+        ranks = np.flatnonzero(self.members)
+        # sorted keys form a valid heap
+        self.heap = sorted(zip(self.counts[ranks].tolist(),
+                               first[ranks].tolist(), ranks.tolist()))
+        self.pending, self.admitted = int(requests[fill]), fill
+
+    def windows(self, end: int) -> tuple[int, int]:
+        """Resolves requests up to ``end`` a window at a time, stopping
+        early once swaps are dense; returns the numbers of swaps and
+        misses.
+
+        Within a window S is taken as fixed: a request in S hits, and a
+        request outside S hits iff it repeats the previous request
+        outside S, the pending rank. A miss is a swap candidate when the
+        pending count may reach ``heap[0][0]``, a lower bound on every
+        count in S. Each candidate is resolved exactly by the heap rule
+        of ``CacheState.access``, with counts brought up to its
+        position. A swap ends the window, since the flags past it assumed
+        the old S: the next window starts after it and rewrites them.
+        """
+        requests, flags, counts = self.requests, self.flags, self.counts
+        members, tally, heap = self.members, self.tally, self.heap
+        at, width = self.at, self.width
+        # past this many swaps the span is dense even if every request misses
+        budget = 2 * (end - at) // _SWAP_COST
+        swaps = misses_seen = 0
+        while at < end and swaps <= budget:
+            stop = min(at + width, end)
+            window = requests[at:stop]
+            inside = members[window]
+            flags[at:stop] = inside
+            outside = (~inside).nonzero()[0]
+            ranks = window[outside]
+            # the pending rank at each request outside S
+            prev = np.concatenate(([self.pending], ranks[:-1]))
+            repeat = ranks == prev
+            flags[at:stop][outside] = repeat
+            misses = (~repeat).nonzero()[0]
+            pending = prev[misses]
+            # a pending count plus all the window adds to it: an upper bound
+            np.add.at(tally, ranks, 1)
+            lower = heap[0][0] if heap else requests.size + 1
+            candidates = (counts[pending] + tally[pending]
+                          >= lower).nonzero()[0]
+            tally[ranks] = 0
+            done = 0                      # window requests in counts
+            swap = None
+            for m in candidates.tolist():
+                j = int(outside[misses[m]])
+                np.add.at(counts, window[done:j], 1)
+                done = j
+                rank = int(pending[m])
+                count = int(counts[rank])
+                seq = at + int(outside[misses[m - 1]]) if m else self.admitted
+                while count >= heap[0][0]:
+                    top_count, top_seq, top = heap[0]
+                    current = int(counts[top])
+                    if current == top_count:      # top is current: it goes
+                        heapreplace(heap, (count, seq, rank))
+                        members[top] = False
+                        members[rank] = True
+                        swap = j
+                        break
+                    heapreplace(heap, (current, top_seq, top))
+                if swap is not None:
+                    break
+            if swap is None:
+                misses_seen += misses.size
+                np.add.at(counts, window[done:], 1)
+                if misses.size:
+                    self.pending = int(ranks[-1])
+                    self.admitted = at + int(outside[misses[-1]])
+                at = stop
+                width = min(2 * width, _SPAN)
+            else:
+                misses_seen += m + 1
+                np.add.at(counts, window[done:swap + 1], 1)
+                self.pending, self.admitted = int(window[swap]), at + swap
+                at += swap + 1
+                swaps += 1
+                width = max(width // 4, _FIRST_WINDOW)
+        self.at, self.width = at, width
+        return swaps, misses_seen
+
+    def handover(self) -> CacheState:
+        """A ``CacheState`` in this state, to go on at ``self.at``."""
+        cache = CacheState(len(self.heap) + 1)
+        ranks = np.flatnonzero(self.counts)
+        cache._counts = dict(zip(ranks.tolist(), self.counts[ranks].tolist()))
+        cache._resident = {rank: seq for _, seq, rank in self.heap}
+        cache._resident[self.pending] = self.admitted
+        cache._heap = self.heap
+        cache._pending = self.pending
+        cache.next_seq = self.at      # above every admission position
+        return cache
+
+    def resume(self, cache: CacheState) -> None:
+        """Takes over the state of ``cache``, which has resolved every
+        request before ``self.at``."""
+        counts = cache._counts
+        self.counts[np.fromiter(counts, np.int64, len(counts))] = (
+            np.fromiter(counts.values(), np.int64, len(counts)))
+        self.members[:] = False
+        self.members[[rank for _, _, rank in cache._heap]] = True
+        self.heap = cache._heap
+        self.pending = cache._pending
+        self.admitted = cache._resident[cache._pending]

@@ -6,6 +6,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .analytics import (RATE_CONVENTIONS, BandwidthParams, model_report,
                         top_c_mass_asymptotic, write_model_report_csv)
 from .cache import POLICIES
@@ -375,7 +377,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if [] in vars(args).values():   # argparse stores --flag=-- as []
             sub.error("-- is not a flag value")
-        return _COMMANDS[args.command](sub, args)
+        # a non-finite result is reported as one error line, not also as
+        # numpy's warnings on the way to it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](sub, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (OSError, ValueError, MemoryError, OverflowError) as exc:

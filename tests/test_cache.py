@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxysim import cache as cache_module
 from proxysim.cache import CacheState, replay
@@ -258,14 +260,87 @@ def test_brute_force_equivalence_random_traces():
                                [capacity, 1, n])
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 50])
-def test_lfu_replay_chunked_ranks_match_reference(monkeypatch, chunk):
-    # LFU replay converts ranks a chunk at a time; the boundaries between
-    # chunks must not change a single flag
-    monkeypatch.setattr(cache_module, "_RANK_CHUNK", chunk)
+@pytest.mark.parametrize("width", [1, 7, 50])
+def test_lfu_replay_window_boundaries_match_reference(monkeypatch, width):
+    # LFU replay resolves requests a window at a time, checks its swap
+    # rate once per span and converts ranks for access() a span at a
+    # time; none of these boundaries may change a single flag
+    monkeypatch.setattr(cache_module, "_FIRST_WINDOW", width)
+    monkeypatch.setattr(cache_module, "_SPAN", 2 * width + 1)
     ranks = generate_workload(build_catalog(30, 0.7), 200, 200,
-                              seed=chunk).requests.tolist()
+                              seed=width).requests.tolist()
     _assert_replay_matches("session_lfu", ReferenceCache, ranks, [1, 5, 30])
+
+
+def _count_handovers(monkeypatch):
+    """Counts of the LFU replay's switches to ``CacheState`` and back."""
+    calls = {"handover": 0, "resume": 0}
+    for name in calls:
+        method = getattr(cache_module._LfuState, name)
+
+        def spy(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(cache_module._LfuState, name, spy)
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranks=st.integers(1, 8).flatmap(
+           lambda n: st.lists(st.integers(1, n), min_size=1, max_size=80)),
+       capacity=st.integers(1, 4), width=st.integers(1, 4),
+       span=st.integers(1, 16), swap_cost=st.sampled_from([1, 4, 16, 100]))
+def test_lfu_replay_matches_reference_property(ranks, capacity, width, span,
+                                               swap_cost):
+    # small windows and spans put swaps in mid-window, let the upper
+    # bound pass pending ranks that then lose, and hand the replay to
+    # CacheState and back many times within one short trace
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache_module, "_FIRST_WINDOW", width)
+        patch.setattr(cache_module, "_SPAN", span)
+        patch.setattr(cache_module, "_SWAP_COST", swap_cost)
+        _assert_replay_matches("session_lfu", ReferenceCache, ranks,
+                               [capacity])
+
+
+def test_lfu_replay_hands_over_and_back(monkeypatch):
+    # a swap every few requests is dense at any swap cost above a few
+    # hits, so the replay switches to CacheState and, once a span of
+    # hits follows, back to windows
+    monkeypatch.setattr(cache_module, "_SPAN", 8)
+    calls = _count_handovers(monkeypatch)
+    ranks = [1, 2, 3, 1, 2, 3, 3, 1, 2, 2] * 4 + [1, 1] * 20 + [3, 2] * 8
+    _assert_replay_matches("session_lfu", ReferenceCache, ranks, [2])
+    assert calls["handover"] and calls["resume"]
+
+
+@pytest.mark.parametrize("ranks, capacity", [
+    ([2, 1, 2, 2, 3, 1, 1, 3, 3, 2], 1),   # S is empty: hit iff a repeat
+    ([5, 3, 5, 4, 3, 4], 3),               # never full
+    ([5, 3, 5, 4, 3, 4], 4),
+    ([1, 2, 1, 3, 3, 2, 1], 3),            # full at the last new rank
+    # at the miss on 3, pending 2 is bounded by 4, as it comes twice
+    # more, against 2 for S = {1}, but its count is 1: a candidate that
+    # loses. The miss on 4 swaps 2 in mid-window, and the last two
+    # misses swap in pending ranks that tie the older entry in S.
+    ([1, 1, 2, 3, 2, 2, 4, 4, 4, 1, 2], 2),
+])
+def test_lfu_replay_edge_traces(ranks, capacity):
+    _assert_replay_matches("session_lfu", ReferenceCache, ranks, [capacity])
+
+
+def test_lfu_replay_equals_cache_state_on_zipf_trace(monkeypatch):
+    # at C=1000 swaps are dense early on, so the replay runs on CacheState
+    # for a while; at C=1 and C=10 windows do all the work
+    calls = _count_handovers(monkeypatch)
+    ranks = generate_workload(build_catalog(5000, 0.64), 100_000, 1000,
+                              seed=7).requests
+    capacities = [1, 10, 100, 1000]
+    for capacity, flags in zip(capacities,
+                               replay("session_lfu", ranks, capacities)):
+        access = CacheState(capacity).access
+        assert flags.tolist() == [access(r)[0] for r in ranks.tolist()]
+    assert calls["handover"]
 
 
 def test_brute_force_equivalence_with_warm_start():

@@ -594,6 +594,22 @@ def test_overflowing_bandwidth_is_an_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_overflowing_bandwidth_prints_one_line_in_a_real_process(tmp_path):
+    # outside pytest numpy's RuntimeWarnings reach stderr unless main
+    # silences them; the error line is the whole report
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxysim", "run", "--objects", "10",
+         "--requests", "10", "--alpha", "0.7", "--capacity", "2",
+         "--sizes", "1e308,1e308", "--times", "10,10", "--seed", "1",
+         "--out-dir", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "proxysim run: error: total bandwidth is nan: size_range and "
+        "time_range give rates past the float range"]
+    assert not out.exists()
+
+
 _HUGE = str(10 ** 15)   # 8 bytes each exceed the address space
 
 
