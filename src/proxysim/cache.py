@@ -25,8 +25,8 @@ the pending entry. Between swaps a request hits iff its rank is in S or
 repeats the previous request outside S, so windows of requests are
 resolved in numpy, and only the rare misses whose pending count may
 reach the smallest count in S are checked against the heap. Where
-swaps come too often for windows to pay, the replay hands its state to
-a ``CacheState`` and calls ``access`` per request until they thin out.
+swaps come too often for windows to pay, the same arrays are resolved
+one request at a time until they thin out.
 LRU needs no cache object: it is a stack algorithm, so a request hits
 exactly when the previous request for its rank is among the last
 requests of the ``C`` most recently used ranks. The previous and next
@@ -45,7 +45,7 @@ import numpy as np
 POLICIES = ("session_lfu", "lru", "lfu_classic")
 _FIRST_WINDOW = 64      # requests in the first LFU window
 _SPAN = 1 << 14         # requests between checks of the LFU swap rate
-_SWAP_COST = 100        # a windowed swap costs about as many access() hits
+_SWAP_COST = 100        # a windowed swap costs about as many scalar hits
 
 
 class CacheState:
@@ -62,9 +62,8 @@ class CacheState:
     cache evicts the pending entry outright when its count is below
     that bound; otherwise it refreshes lagging counts at the top and
     either evicts the pending entry or swaps it in for the top with one
-    ``heapreplace``. Admissions into a cache that is not full move the
-    previous pending entry into the heap. ``swaps`` counts the misses
-    that evicted a resident other than the pending entry.
+    ``heapreplace`` (:func:`_evict`). Admissions into a cache that is
+    not full move the previous pending entry into the heap.
 
     ``warm`` pre-populates the cache with at most ``capacity`` distinct
     ranks, admitted at count 0 in ascending insertion order without
@@ -89,7 +88,6 @@ class CacheState:
         # the newest admission, kept out of the heap; None only when empty
         self._pending = self._heap.pop()[2] if self._heap else None
         self.next_seq = len(self._resident)
-        self.swaps = 0
 
     def __contains__(self, rank: int) -> bool:
         return rank in self._resident
@@ -117,20 +115,12 @@ class CacheState:
                          (counts[pending], resident[pending], pending))
         else:
             heap = self._heap
-            pending_count = counts[pending]
             evicted = pending
-            while heap:
-                count, seq, top = heap[0]
-                if pending_count < count:
-                    break                         # pending is the victim
-                current = counts[top]
-                if current == count:              # top is current: it wins
+            count = counts[pending]
+            if heap and count >= heap[0][0]:
+                top = _evict(heap, counts, count, resident[pending], pending)
+                if top is not None:
                     evicted = top
-                    self.swaps += 1
-                    heapreplace(heap,
-                                (pending_count, resident[pending], pending))
-                    break
-                heapreplace(heap, (current, seq, top))  # refresh the top
             del resident[evicted]
         counts[rank] = counts.get(rank, 0) + 1
         seq = self.next_seq
@@ -138,6 +128,27 @@ class CacheState:
         resident[rank] = seq
         self._pending = rank
         return False, evicted
+
+
+def _evict(heap: list, counts, count: int, seq: int,
+           rank: int) -> int | None:
+    """The victim search of a miss on a full LFU cache whose pending
+    entry ``(count, seq, rank)`` reaches ``heap[0][0]``.
+
+    Lagging tops are refreshed from ``counts`` until the top is current
+    or above ``count``. A current top that ``count`` reaches is the
+    victim, since the pending entry survives count ties: the pending
+    entry replaces it in the heap and the top is returned. Otherwise the
+    pending entry is the victim and the result is None.
+    """
+    while count >= heap[0][0]:
+        top_count, top_seq, top = heap[0]
+        current = counts[top]
+        if current == top_count:              # top is current: it goes
+            heapreplace(heap, (count, seq, rank))
+            return top
+        heapreplace(heap, (current, top_seq, top))  # refresh the top
+    return None
 
 
 def replay(policy: str, requests: np.ndarray,
@@ -165,10 +176,9 @@ def replay(policy: str, requests: np.ndarray,
       misses whose pending count may reach the heap's lower bound on S
       are checked against the heap, and a swap ends the window.
     - Every ``_SPAN`` requests the swap rate is checked. Where windows
-      would cost more than ``access`` calls, the counts, the residents
-      in admission order, the heap and the pending rank pass to a
-      ``CacheState``, which takes the following spans a request at a
-      time and hands them back once swaps thin out.
+      would cost more than resolving each request in Python, the next
+      span is resolved a request at a time on the same arrays, heap and
+      pending rank, until swaps thin out.
 
     Beside the flags the LFU replay keeps only arrays over ranks and
     per-window temporaries. ``lru`` finds ``prev[i]`` and ``next[i]``,
@@ -238,35 +248,20 @@ def _lfu_flags(requests: np.ndarray, capacity: int) -> np.ndarray:
     """Hit flags of a fresh LFU cache of ``capacity``; see :func:`replay`."""
     flags = np.empty(requests.size, dtype=bool)
     state = _LfuState(requests, capacity, flags)
-    cache = None                  # a CacheState while swaps are dense
+    resolve = state.windows
     while state.at < requests.size:
         start = state.at
-        end = min(start + _SPAN, requests.size)
-        if cache is None:
-            swaps, misses = state.windows(end)
-        else:
-            before, access = cache.swaps, cache.access
-            flags[start:end] = np.fromiter(
-                (access(r)[0] for r in requests[start:end].tolist()),
-                dtype=bool, count=end - start)
-            swaps = cache.swaps - before
-            misses = end - start - np.count_nonzero(flags[start:end])
-            state.at = end
-        # the span's cost in access() calls, a miss costing two hits,
-        # against the cost of its swaps in windows
+        swaps, misses = resolve(min(start + _SPAN, requests.size))
+        # the span's cost per request, a miss costing two hits, against
+        # the cost of its swaps in windows
         dense = swaps * _SWAP_COST > state.at - start + misses
-        if state.at == requests.size:
-            break
-        if dense and cache is None:
-            cache = state.handover()
-        elif not dense and cache is not None:
-            state.resume(cache)
-            cache = None
+        resolve = state.scalar if dense else state.windows
     return flags
 
 
 class _LfuState:
-    """A full LFU cache as arrays over ranks, replayed a window at a time.
+    """A full LFU cache as arrays over ranks, resolved a window or a
+    request at a time.
 
     It holds the set S of residents other than the pending one, the
     count of every rank, ``CacheState``'s lazy heap over S, and the
@@ -306,6 +301,9 @@ class _LfuState:
         self.counts = np.bincount(requests[:fill + 1], minlength=first.size)
         self.tally = np.zeros_like(self.counts)   # zero between windows
         self.members = first < fill   # rank -> in S
+        # the same arrays, read and written as Python ints
+        self.count_at = memoryview(self.counts)
+        self.member_at = memoryview(self.members)
         ranks = np.flatnonzero(self.members)
         # sorted keys form a valid heap
         self.heap = sorted(zip(self.counts[ranks].tolist(),
@@ -321,13 +319,14 @@ class _LfuState:
         request outside S hits iff it repeats the previous request
         outside S, the pending rank. A miss is a swap candidate when the
         pending count may reach ``heap[0][0]``, a lower bound on every
-        count in S. Each candidate is resolved exactly by the heap rule
-        of ``CacheState.access``, with counts brought up to its
-        position. A swap ends the window, since the flags past it assumed
-        the old S: the next window starts after it and rewrites them.
+        count in S. Each candidate is resolved exactly by :func:`_evict`,
+        with counts brought up to its position. A swap ends the window,
+        since the flags past it assumed the old S: the next window starts
+        after it and rewrites them.
         """
         requests, flags, counts = self.requests, self.flags, self.counts
         members, tally, heap = self.members, self.tally, self.heap
+        count_at = self.count_at
         at, width = self.at, self.width
         # past this many swaps the span is dense even if every request misses
         budget = 2 * (end - at) // _SWAP_COST
@@ -352,27 +351,24 @@ class _LfuState:
                           >= lower).nonzero()[0]
             tally[ranks] = 0
             done = 0                      # window requests in counts
-            swap = None
             for m in candidates.tolist():
                 j = int(outside[misses[m]])
                 np.add.at(counts, window[done:j], 1)
                 done = j
                 rank = int(pending[m])
-                count = int(counts[rank])
                 seq = at + int(outside[misses[m - 1]]) if m else self.admitted
-                while count >= heap[0][0]:
-                    top_count, top_seq, top = heap[0]
-                    current = int(counts[top])
-                    if current == top_count:      # top is current: it goes
-                        heapreplace(heap, (count, seq, rank))
-                        members[top] = False
-                        members[rank] = True
-                        swap = j
-                        break
-                    heapreplace(heap, (current, top_seq, top))
-                if swap is not None:
+                top = _evict(heap, count_at, count_at[rank], seq, rank)
+                if top is not None:       # a swap at j ends the window
+                    members[top] = False
+                    members[rank] = True
+                    misses_seen += m + 1
+                    counts[window[j]] += 1
+                    self.pending, self.admitted = int(window[j]), at + j
+                    at += j + 1
+                    swaps += 1
+                    width = max(width // 4, _FIRST_WINDOW)
                     break
-            if swap is None:
+            else:
                 misses_seen += misses.size
                 np.add.at(counts, window[done:], 1)
                 if misses.size:
@@ -380,36 +376,35 @@ class _LfuState:
                     self.admitted = at + int(outside[misses[-1]])
                 at = stop
                 width = min(2 * width, _SPAN)
-            else:
-                misses_seen += m + 1
-                np.add.at(counts, window[done:swap + 1], 1)
-                self.pending, self.admitted = int(window[swap]), at + swap
-                at += swap + 1
-                swaps += 1
-                width = max(width // 4, _FIRST_WINDOW)
         self.at, self.width = at, width
         return swaps, misses_seen
 
-    def handover(self) -> CacheState:
-        """A ``CacheState`` in this state, to go on at ``self.at``."""
-        cache = CacheState(len(self.heap) + 1)
-        ranks = np.flatnonzero(self.counts)
-        cache._counts = dict(zip(ranks.tolist(), self.counts[ranks].tolist()))
-        cache._resident = {rank: seq for _, seq, rank in self.heap}
-        cache._resident[self.pending] = self.admitted
-        cache._heap = self.heap
-        cache._pending = self.pending
-        cache.next_seq = self.at      # above every admission position
-        return cache
+    def scalar(self, end: int) -> tuple[int, int]:
+        """Resolves requests up to ``end`` one at a time, reading and
+        writing the rank arrays as plain ints; returns the numbers of
+        swaps and misses.
 
-    def resume(self, cache: CacheState) -> None:
-        """Takes over the state of ``cache``, which has resolved every
-        request before ``self.at``."""
-        counts = cache._counts
-        self.counts[np.fromiter(counts, np.int64, len(counts))] = (
-            np.fromiter(counts.values(), np.int64, len(counts)))
-        self.members[:] = False
-        self.members[[rank for _, _, rank in cache._heap]] = True
-        self.heap = cache._heap
-        self.pending = cache._pending
-        self.admitted = cache._resident[cache._pending]
+        A request in S or for the pending rank hits. Any other request
+        misses and evicts the pending entry, unless the pending count
+        reaches ``heap[0][0]`` and :func:`_evict` swaps it into S.
+        """
+        count_at, member_at, heap = self.count_at, self.member_at, self.heap
+        pending, admitted, start = self.pending, self.admitted, self.at
+        missed, swaps = [], 0
+        for i, rank in enumerate(self.requests[start:end].tolist(), start):
+            count_at[rank] += 1
+            if member_at[rank] or rank == pending:
+                continue
+            missed.append(i)
+            count = count_at[pending]
+            if heap and count >= heap[0][0]:
+                top = _evict(heap, count_at, count, admitted, pending)
+                if top is not None:
+                    member_at[top] = False
+                    member_at[pending] = True
+                    swaps += 1
+            pending, admitted = rank, i
+        self.flags[start:end] = True
+        self.flags[missed] = False
+        self.pending, self.admitted, self.at = pending, admitted, end
+        return swaps, len(missed)

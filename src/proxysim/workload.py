@@ -131,12 +131,14 @@ def load_trace(path: str) -> Workload:
     Raises
     ------
     TraceParseError
-        On a missing or malformed header, a rank that is not a plain
-        ASCII decimal integer (``int()`` alone would take ``1_0`` or
-        non-ASCII digits), a non-positive rank, or a rank beyond the declared catalog size; the message
-        names the offending line number. An empty file is an error.
+        On a missing or malformed header, a rank line that is not ASCII
+        digits with optional surrounding whitespace (``int()`` alone
+        would take ``+7``, ``1_0`` or non-ASCII digits), a zero rank, or
+        a rank beyond the declared catalog size; the message names the
+        offending line number. An empty file is an error. The file is
+        read as UTF-8, and a byte that does not decode fails its line.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8", errors="replace") as f:
         lines = f.read().splitlines()
     if not lines:
         raise TraceParseError(f"{path}: empty trace file")
@@ -155,15 +157,13 @@ def load_trace(path: str) -> Workload:
 
     requests = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        digits = line.strip()
+        if not digits:
             continue
-        try:
-            if "_" in line or not line.isascii():
-                raise ValueError
-            rank = int(line)
-        except ValueError:
+        if not (digits.isdigit() and line.isascii()):
             raise TraceParseError(
-                f"{path}: line {lineno}: not an integer rank: {line!r}")
+                f"{path}: line {lineno}: not a decimal rank: {line!r}")
+        rank = int(digits)
         if rank < 1:
             raise TraceParseError(
                 f"{path}: line {lineno}: rank must be >= 1, got {rank}")

@@ -272,15 +272,19 @@ def test_lfu_replay_window_boundaries_match_reference(monkeypatch, width):
     _assert_replay_matches("session_lfu", ReferenceCache, ranks, [1, 5, 30])
 
 
-def _count_handovers(monkeypatch):
-    """Counts of the LFU replay's switches to ``CacheState`` and back."""
-    calls = {"handover": 0, "resume": 0}
+def _count_switches(monkeypatch):
+    """Counts of the LFU replay's switches from windows to per-request
+    resolution and back."""
+    calls = {"scalar": 0, "windows": 0}
+    last = {}                     # replay state -> its last method
     for name in calls:
         method = getattr(cache_module._LfuState, name)
 
-        def spy(*args, name=name, method=method):
-            calls[name] += 1
-            return method(*args)
+        def spy(state, *args, name=name, method=method):
+            if last.get(state, "windows") != name:
+                calls[name] += 1
+            last[state] = name
+            return method(state, *args)
         monkeypatch.setattr(cache_module._LfuState, name, spy)
     return calls
 
@@ -293,8 +297,8 @@ def _count_handovers(monkeypatch):
 def test_lfu_replay_matches_reference_property(ranks, capacity, width, span,
                                                swap_cost):
     # small windows and spans put swaps in mid-window, let the upper
-    # bound pass pending ranks that then lose, and hand the replay to
-    # CacheState and back many times within one short trace
+    # bound pass pending ranks that then lose, and switch the replay to
+    # per-request resolution and back many times within one short trace
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cache_module, "_FIRST_WINDOW", width)
         patch.setattr(cache_module, "_SPAN", span)
@@ -303,15 +307,15 @@ def test_lfu_replay_matches_reference_property(ranks, capacity, width, span,
                                [capacity])
 
 
-def test_lfu_replay_hands_over_and_back(monkeypatch):
+def test_lfu_replay_switches_to_scalar_and_back(monkeypatch):
     # a swap every few requests is dense at any swap cost above a few
-    # hits, so the replay switches to CacheState and, once a span of
-    # hits follows, back to windows
+    # hits, so the replay resolves requests one at a time and, once a
+    # span of hits follows, goes back to windows
     monkeypatch.setattr(cache_module, "_SPAN", 8)
-    calls = _count_handovers(monkeypatch)
+    calls = _count_switches(monkeypatch)
     ranks = [1, 2, 3, 1, 2, 3, 3, 1, 2, 2] * 4 + [1, 1] * 20 + [3, 2] * 8
     _assert_replay_matches("session_lfu", ReferenceCache, ranks, [2])
-    assert calls["handover"] and calls["resume"]
+    assert calls["scalar"] and calls["windows"]
 
 
 @pytest.mark.parametrize("ranks, capacity", [
@@ -330,9 +334,9 @@ def test_lfu_replay_edge_traces(ranks, capacity):
 
 
 def test_lfu_replay_equals_cache_state_on_zipf_trace(monkeypatch):
-    # at C=1000 swaps are dense early on, so the replay runs on CacheState
-    # for a while; at C=1 and C=10 windows do all the work
-    calls = _count_handovers(monkeypatch)
+    # at C=1000 swaps are dense early on, so the replay resolves requests
+    # one at a time for a while; at C=1 and C=10 windows do all the work
+    calls = _count_switches(monkeypatch)
     ranks = generate_workload(build_catalog(5000, 0.64), 100_000, 1000,
                               seed=7).requests
     capacities = [1, 10, 100, 1000]
@@ -340,7 +344,7 @@ def test_lfu_replay_equals_cache_state_on_zipf_trace(monkeypatch):
                                replay("session_lfu", ranks, capacities)):
         access = CacheState(capacity).access
         assert flags.tolist() == [access(r)[0] for r in ranks.tolist()]
-    assert calls["handover"]
+    assert calls["scalar"]
 
 
 def test_brute_force_equivalence_with_warm_start():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,11 +144,14 @@ def test_trace_zero_rank_names_line_number(tmp_path):
 
 def test_trace_malformed_rank_names_line_number(tmp_path):
     path = tmp_path / "bad.trace"
-    # int() alone would read "1_0" as 10 and the non-ASCII digits as 3
-    for bad in ("two", "1_0", "\u0663", "\uff13"):
-        path.write_text(f"#n_objects=20 session=2\n1\n{bad}\n",
-                        encoding="utf-8")
-        with pytest.raises(TraceParseError, match="line 3"):
+    # int() alone would read "+7" as 7, "1_0" as 10 and the non-ASCII
+    # digits as 3; a byte that is not UTF-8 must not stop the parse
+    # before it can name the line
+    for bad in (b"two", b"+7", b"-3", b"1_0", "\u0663".encode(),
+                "\uff13".encode(), b"\xff"):
+        path.write_bytes(b"#n_objects=20 session=2\n1\n" + bad + b"\n")
+        with pytest.raises(TraceParseError,
+                           match=re.escape(f"{path}: line 3")):
             load_trace(str(path))
 
 
