@@ -171,8 +171,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f.read().splitlines(), start=1):
+    with open(path, encoding="utf-8", errors="replace", newline="") as f:
+        for lineno, line in enumerate(f.read().split("\n"), start=1):
             s = line.strip()
             if not s or s.startswith("#"):
                 continue

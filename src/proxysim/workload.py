@@ -7,7 +7,9 @@ accounting. Traces round-trip through a one-rank-per-line text format.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,10 @@ DEFAULT_SIZE_RANGE = (1.0, 15.0)   # kilobits
 DEFAULT_TIME_RANGE = (1.0, 10.0)   # milliseconds
 DEFAULT_SESSION_SIZE = 1000
 _TRACE_CHUNK = 1 << 16   # ranks formatted per write in save_trace
+# W is the ASCII whitespace str.strip() drops; \d in bytes is ASCII only
+_W = rb"[ \t\r\x0b\x0c\x1c-\x1f]*"
+_NOT_RANK_LINE = re.compile(rb"^(?!%s(\d+%s)?$).*" % (_W, _W), re.M)
+_SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 
 
 class TraceParseError(ValueError):
@@ -126,23 +132,21 @@ def save_trace(workload: Workload, path: str) -> None:
 
 
 def load_trace(path: str) -> Workload:
-    """Read a trace written by :func:`save_trace`.
+    r"""Read a trace written by :func:`save_trace`.
 
-    Raises
-    ------
-    TraceParseError
-        On a missing or malformed header, a rank line that is not ASCII
-        digits with optional surrounding whitespace (``int()`` alone
-        would take ``+7``, ``1_0`` or non-ASCII digits), a zero rank, or
-        a rank beyond the declared catalog size; the message names the
-        offending line number. An empty file is an error. The file is
-        read as UTF-8, and a byte that does not decode fails its line.
+    Line 1 is the header, up to the first ``\n`` less one trailing ``\r``.
+    Only ``\n`` ends a line, and every later line is blank or one rank in
+    ``1..n_objects`` in ASCII digits, with optional ASCII whitespace
+    around it: space, ``\t``, ``\r``, ``\v``, ``\f`` and ``\x1c``-``\x1f``.
+    Raises :class:`TraceParseError` naming the earliest line that breaks
+    this, and on an empty file, a bad header or a body with no ranks.
     """
-    with open(path, encoding="utf-8", errors="replace") as f:
-        lines = f.read().splitlines()
-    if not lines:
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data:
         raise TraceParseError(f"{path}: empty trace file")
-    header = lines[0]
+    header, _, body = data.partition(b"\n")
+    header = header.removesuffix(b"\r").decode("utf-8", "replace")
     if not header.startswith("#"):
         raise TraceParseError(f"{path}: line 1: missing #n_objects header")
     try:
@@ -155,28 +159,24 @@ def load_trace(path: str) -> Workload:
     if n_objects < 1 or session_size < 1:
         raise TraceParseError(f"{path}: line 1: non-positive header fields")
 
-    requests = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        digits = line.strip()
-        if not digits:
-            continue
-        if not (digits.isdigit() and line.isascii()):
-            raise TraceParseError(
-                f"{path}: line {lineno}: not a decimal rank: {line!r}")
-        rank = int(digits)
-        if rank < 1:
-            raise TraceParseError(
-                f"{path}: line {lineno}: rank must be >= 1, got {rank}")
-        if rank > n_objects:
-            raise TraceParseError(
-                f"{path}: line {lineno}: rank {rank} exceeds "
-                f"n_objects={n_objects}")
-        requests.append(rank)
-    if not requests:
+    bad = _NOT_RANK_LINE.search(body)
+    # numpy takes \x1c-\x1f for data, and reads whitespace alone as [0]
+    text = body[:len(body) if bad is None else bad.start()].translate(_SPACES)
+    requests = (np.empty(0, dtype=np.int64) if text.isspace() else
+                np.fromstring(text, dtype=np.int64, sep=" "))
+    # a rank too long for int64 is read as its maximum, so it fails here
+    outside = np.flatnonzero((requests < 1) | (requests > n_objects))
+    if outside.size:
+        # a good line holds one rank or no digit: rank k is on digit line k
+        bad = next(itertools.islice(re.finditer(rb"^.*\d.*$", body, re.M),
+                                    outside[0], None))
+    if bad is not None:
+        lineno = body.count(b"\n", 0, bad.start()) + 2
+        line = bad.group().decode("utf-8", "replace")
+        raise TraceParseError(f"{path}: line {lineno}: not a rank in "
+                              f"1..{n_objects}: {line!r}")
+    if not requests.size:
         raise TraceParseError(f"{path}: no requests in trace")
 
-    return Workload(
-        requests=np.asarray(requests, dtype=np.int64),
-        session_size=session_size,
-        n_objects=n_objects,
-    )
+    return Workload(requests=requests, session_size=session_size,
+                    n_objects=n_objects)

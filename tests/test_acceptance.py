@@ -14,7 +14,7 @@ import numpy as np
 from scipy import stats
 
 from proxysim.analytics import top_c_mass
-from proxysim.cache import CacheState
+from proxysim.cache import CacheState, replay
 from proxysim.cli import main as cli_main
 from proxysim.popularity import (ComplexExponent, build_catalog,
                                  zeta_partial_terms)
@@ -83,24 +83,32 @@ class _Reference:
 
 
 def test_criterion_3_oracle_equivalence():
-    mismatches = 0
+    # CacheState is the LFU state itself; replay is what run and sweep use
+    state_mismatches = replay_mismatches = 0
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         capacity = int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         total = int(rng.integers(1, 51))
-        ranks = rng.integers(1, n + 1, size=total).tolist()
+        requests = rng.integers(1, n + 1, size=total)
+        ranks = requests.tolist()
         cache = CacheState(capacity)
         ref = _Reference(capacity)
         for r in ranks:
             if cache.access(r) != ref.access(r):
-                mismatches += 1
+                state_mismatches += 1
                 break
         else:
             if set(cache.entries) != set(ref.resident):
-                mismatches += 1
-    _verdict(3, mismatches == 0,
-             f"traces=1000 C<=4 N<=8 R<=50 mismatches={mismatches}")
+                state_mismatches += 1
+        flags = next(replay("session_lfu", requests, [capacity]))
+        ref = _Reference(capacity)
+        if flags.tolist() != [ref.access(r)[0] for r in ranks]:
+            replay_mismatches += 1
+    _verdict(3, state_mismatches == replay_mismatches == 0,
+             f"traces=1000 C<=4 N<=8 R<=50 "
+             f"CacheState mismatches={state_mismatches} "
+             f"replay mismatches={replay_mismatches}")
 
 
 def test_criterion_4_log_like_hit_ratio_growth():

@@ -288,6 +288,26 @@ def test_config_file_unknown_key(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_config_file_lines_end_at_newline_only(tmp_path, capsys):
+    # a form feed does not end a line, and a byte that is not UTF-8 is
+    # reported with the file's name rather than as a codec error
+    cfg = tmp_path / "gen.cfg"
+    out = tmp_path / "z.trace"
+    for body, message in (
+            (b"objects=50\x0calpha=0.7\n", "objects='50\\x0calpha=0.7'"),
+            (b"objects=4\nrequests=100\x0cbogus\n",
+             "requests='100\\x0cbogus'"),
+            (b"objects=4\n\xff\n", "line 2: expected key=value")):
+        cfg.write_bytes(body)
+        rc = main(["gen", "--config", str(cfg), "--objects", "2",
+                   "--requests", "3", "--alpha", "0.5", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        _assert_one_line_error(capsys,
+                               f"proxysim gen: error: {cfg}: {message}")
+        assert not out.exists()
+
+
 def test_config_file_rejects_value_outside_choices(tmp_path, capsys):
     cfg = tmp_path / "est.cfg"
     cfg.write_text("mode=bogus\n")

@@ -1,8 +1,11 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxysim.popularity import build_catalog
 from proxysim.workload import (TraceParseError, Workload, assign_attributes,
@@ -146,13 +149,20 @@ def test_trace_malformed_rank_names_line_number(tmp_path):
     path = tmp_path / "bad.trace"
     # int() alone would read "+7" as 7, "1_0" as 10 and the non-ASCII
     # digits as 3; a byte that is not UTF-8 must not stop the parse
-    # before it can name the line
+    # before it can name the line; only \n ends a line, so a form feed,
+    # a lone carriage return or U+2028 between two ranks fails the line,
+    # and only ASCII whitespace makes a blank line
     for bad in (b"two", b"+7", b"-3", b"1_0", "\u0663".encode(),
-                "\uff13".encode(), b"\xff"):
+                "\uff13".encode(), b"\xff", b"1\x0c2", b"1\r2",
+                "1\u20282".encode(), "\u00a0".encode()):
         path.write_bytes(b"#n_objects=20 session=2\n1\n" + bad + b"\n")
         with pytest.raises(TraceParseError,
                            match=re.escape(f"{path}: line 3")):
             load_trace(str(path))
+    path.write_bytes(b"#n_objects=9 session=2\n1\x0c2\nx\n")
+    with pytest.raises(TraceParseError,
+                       match=re.escape(f"{path}: line 2: not a rank in 1..9")):
+        load_trace(str(path))
 
 
 def test_trace_rank_beyond_catalog_rejected(tmp_path):
@@ -183,3 +193,79 @@ def test_workload_generator_rejects_bad_counts():
         generate_workload(cat, 0, 10, seed=1)
     with pytest.raises(ValueError):
         generate_workload(cat, 10, 0, seed=1)
+
+
+def _reference_body(body: bytes, n_objects: int):
+    r"""The line loop load_trace once ran, splitting lines at \n alone:
+    a body's ranks, or the number of the first line it rejects."""
+    ranks = []
+    for lineno, line in enumerate(
+            body.decode("utf-8", errors="replace").split("\n"), start=2):
+        digits = line.strip()
+        if not digits:
+            continue
+        if not (digits.isdigit() and line.isascii()
+                and 1 <= int(digits) <= n_objects):
+            return lineno
+        ranks.append(int(digits))
+    return ranks
+
+
+_BODY_PIECES = [b"0", b"1", b"2", b"7", b"9", b"12345678901234567890",
+                b" ", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+                b"\x1f", b"\r\n", b"\r", b"\n", b"\n", b"\n", b"+", b"-",
+                b"_", "\u0663".encode(), b"\xff"]
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("traces") / "t.trace"
+
+
+@settings(max_examples=500, deadline=None)
+@given(n_objects=st.integers(1, 30),
+       body=st.lists(st.sampled_from(_BODY_PIECES), max_size=40).map(
+           b"".join))
+def test_load_trace_agrees_with_reference_line_loop(trace_path, n_objects,
+                                                    body):
+    trace_path.write_bytes(f"#n_objects={n_objects} session=2\n".encode()
+                           + body)
+    want = _reference_body(body, n_objects)
+    if isinstance(want, int):
+        with pytest.raises(TraceParseError, match=re.escape(
+                f"{trace_path}: line {want}: not a rank in 1..{n_objects}: ")):
+            load_trace(str(trace_path))
+    elif not want:
+        with pytest.raises(TraceParseError, match="no requests in trace"):
+            load_trace(str(trace_path))
+    else:
+        assert load_trace(str(trace_path)).requests.tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**63 - 1).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.integers(1, n), min_size=1, max_size=300),
+           st.integers(1, 10**9))))
+def test_trace_save_load_round_trip(trace_path, case):
+    n_objects, ranks, session_size = case
+    saved = Workload(requests=np.array(ranks, dtype=np.int64),
+                     session_size=session_size, n_objects=n_objects)
+    save_trace(saved, str(trace_path))
+    back = load_trace(str(trace_path))
+    assert back.requests.dtype == np.int64
+    assert np.array_equal(back.requests, saved.requests)
+    assert (back.session_size, back.n_objects) == (session_size, n_objects)
+
+
+def test_load_trace_is_warning_free(tmp_path):
+    # a warning numpy raised here, such as a deprecation of fromstring's
+    # text mode, would come with every run --trace; fail on it first
+    path = tmp_path / "t.trace"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path.write_bytes(b"#n_objects=3 session=2\n1\n3\n2\n")
+        assert load_trace(str(path)).requests.tolist() == [1, 3, 2]
+        for body in (b"\n \n\t\n", b"1\n2\nx\n", b"1\n2\n4\n"):
+            path.write_bytes(b"#n_objects=3 session=2\n" + body)
+            with pytest.raises(TraceParseError):
+                load_trace(str(path))
