@@ -301,13 +301,15 @@ def fit_power_law(counts, max_rank: int) -> tuple[float, float]:
 
 def write_report_csv(report: SimReport, path: str) -> None:
     """Write per-rank tallies with a log-100 rank axis column."""
-    log100 = np.log(np.arange(1, report.requests.size + 1)) / np.log(100.0)
+    n = report.requests.size
+    log100 = np.log(np.arange(1, n + 1)) / np.log(100.0)
+    # Python ints and floats from tolist() format faster than numpy scalars
+    columns = (range(1, n + 1), log100.tolist(), report.requests.tolist(),
+               report.hits.tolist(), report.misses.tolist(),
+               report.imported_bandwidth.tolist())
     with open(path, "w") as f:
         f.write("rank,log100_rank,requests,hits,misses,bandwidth\n")
-        for i in range(report.requests.size):
-            f.write(f"{i + 1},{log100[i]:.6f},{report.requests[i]},"
-                    f"{report.hits[i]},{report.misses[i]},"
-                    f"{report.imported_bandwidth[i]:.10e}\n")
+        f.writelines(map("%d,%.6f,%d,%d,%d,%.10e\n".__mod__, zip(*columns)))
 
 
 def write_json(payload: dict, path: str) -> None:

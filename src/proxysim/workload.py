@@ -20,10 +20,13 @@ DEFAULT_SIZE_RANGE = (1.0, 15.0)   # kilobits
 DEFAULT_TIME_RANGE = (1.0, 10.0)   # milliseconds
 DEFAULT_SESSION_SIZE = 1000
 _TRACE_CHUNK = 1 << 16   # ranks formatted per write in save_trace
-# W is the ASCII whitespace str.strip() drops; \d in bytes is ASCII only
-_W = rb"[ \t\r\x0b\x0c\x1c-\x1f]*"
+# the ASCII whitespace str.strip() drops; \d in bytes is ASCII only
+_WS = rb" \t\r\x0b\x0c\x1c-\x1f"
+_W = rb"[%s]*" % _WS
 _NOT_RANK_LINE = re.compile(rb"^(?!%s(\d+%s)?$).*" % (_W, _W), re.M)
 _SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+_HEADER_WORD = re.compile(rb"[^%s]+" % _WS)
+_HEADER_FIELDS = re.compile(rb"n_objects=(\d+) session=(\d+)")
 
 
 class TraceParseError(ValueError):
@@ -134,10 +137,13 @@ def save_trace(workload: Workload, path: str) -> None:
 def load_trace(path: str) -> Workload:
     r"""Read a trace written by :func:`save_trace`.
 
-    Line 1 is the header, up to the first ``\n`` less one trailing ``\r``.
-    Only ``\n`` ends a line, and every later line is blank or one rank in
-    ``1..n_objects`` in ASCII digits, with optional ASCII whitespace
-    around it: space, ``\t``, ``\r``, ``\v``, ``\f`` and ``\x1c``-``\x1f``.
+    Line 1 is the header, up to the first ``\n`` less one trailing ``\r``:
+    ``#`` and the words ``n_objects=N`` and ``session=S``, each once, in
+    either order, with ASCII digits for values and the whitespace below
+    between words. Only ``\n`` ends a line, and every later line is blank
+    or one rank in ``1..n_objects`` in ASCII digits, with optional ASCII
+    whitespace around it: space, ``\t``, ``\r``, ``\v``, ``\f`` and
+    ``\x1c``-``\x1f``.
     Raises :class:`TraceParseError` naming the earliest line that breaks
     this, and on an empty file, a bad header or a body with no ranks.
     """
@@ -146,16 +152,20 @@ def load_trace(path: str) -> Workload:
     if not data:
         raise TraceParseError(f"{path}: empty trace file")
     header, _, body = data.partition(b"\n")
-    header = header.removesuffix(b"\r").decode("utf-8", "replace")
-    if not header.startswith("#"):
+    header = header.removesuffix(b"\r")
+    if not header.startswith(b"#"):
         raise TraceParseError(f"{path}: line 1: missing #n_objects header")
+    # sorted, the words must be exactly the two fields, so an unknown or
+    # repeated key fails, as does a value that is not ASCII digits
+    fields = _HEADER_FIELDS.fullmatch(
+        b" ".join(sorted(_HEADER_WORD.findall(header.lstrip(b"#")))))
     try:
-        fields = dict(part.split("=", 1)
-                      for part in header.lstrip("#").split())
-        n_objects = int(fields["n_objects"])
-        session_size = int(fields["session"])
-    except (ValueError, KeyError):
-        raise TraceParseError(f"{path}: line 1: malformed header {header!r}")
+        if fields is None:
+            raise ValueError
+        n_objects, session_size = map(int, fields.groups())
+    except ValueError:   # int() also refuses more than 4300 digits
+        shown = header.decode("utf-8", "replace")
+        raise TraceParseError(f"{path}: line 1: malformed header {shown!r}")
     if n_objects < 1 or session_size < 1:
         raise TraceParseError(f"{path}: line 1: non-positive header fields")
 

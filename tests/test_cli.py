@@ -351,6 +351,17 @@ def _assert_one_line_error(capsys, message):
     assert message in err
 
 
+def test_run_trace_rejects_loose_header(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    header = "#n_objects=1_0 session=\u0662 n_objects=+9 bogus=1"
+    trace.write_bytes(header.encode() + b"\n1\n2\n")
+    out_dir = tmp_path / "run"
+    assert main(["run", "--trace", str(trace), "--capacity", "1",
+                 "--seed", "3", "--out-dir", str(out_dir)]) == 1
+    _assert_one_line_error(capsys, f"{trace}: line 1: malformed header")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_run_trace_rejects_out_of_range_k(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     assert main(_gen_args(trace, objects=10, requests=50)) == 0

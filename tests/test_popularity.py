@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from proxysim.popularity import (ComplexExponent, build_catalog,
-                                 generalized_harmonic, power_modulus,
-                                 probability, sample_ranks,
+from proxysim.popularity import (ComplexExponent, ZipfCatalog,
+                                 build_catalog, generalized_harmonic,
+                                 power_modulus, probability, sample_ranks,
                                  zeta_partial_terms)
 
 EULER_GAMMA = 0.5772156649015329
@@ -104,7 +104,7 @@ def _inverse_cdf_ranks(cat, size, rng):
 
 
 def test_sample_ranks_match_inverse_cdf_reference():
-    # numpy's weighted choice must draw the very ranks of a plain
+    # the guide-table sampler must draw the very ranks of a plain
     # inverse-CDF search over the same stream
     for n in (1, 3, 100, 10 ** 4):
         for alpha in (0.0, 0.31, 0.64, 0.98, 1.0, 2.5):
@@ -114,6 +114,33 @@ def test_sample_ranks_match_inverse_cdf_reference():
                 want = _inverse_cdf_ranks(cat, 200_000,
                                           np.random.default_rng(seed))
                 assert np.array_equal(drawn, want), (n, alpha, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 10 ** 4, 10 ** 5])
+@pytest.mark.parametrize("alpha", [0.0, 0.31, 0.64, 0.98, 2.5, 50.0])
+def test_sample_ranks_match_numpy_weighted_choice(n, alpha):
+    # bit for bit the ranks of rng.choice, which sample_ranks replaced,
+    # over sizes around the draw chunk, leaving the stream where it does
+    cat = build_catalog(n, alpha)
+    ours, numpys = np.random.default_rng(n), np.random.default_rng(n)
+    for size in (0, 1, 65535, 65536, 65537, 200001):
+        drawn = sample_ranks(cat, size, ours)
+        want = numpys.choice(n, size, p=cat.probabilities) + 1
+        assert drawn.dtype == want.dtype and np.array_equal(drawn, want), size
+        assert ours.random() == numpys.random(), size
+
+
+def test_sample_ranks_rejects_bad_catalogs():
+    # a hand-built catalog skips build_catalog's checks; the sampler
+    # still refuses what rng.choice refused
+    good = build_catalog(4, 1.0).probabilities
+    for probabilities in (np.array([0.6, -0.1, 0.3, 0.2]),
+                          np.array([0.5, np.nan, 0.25, 0.25]),
+                          build_catalog(3, 1.0).probabilities, good * 1.01):
+        cat = ZipfCatalog(n_objects=4, alpha=1.0, normalizer=1.0,
+                          probabilities=probabilities)
+        with pytest.raises(ValueError):
+            sample_ranks(cat, 10, np.random.default_rng(0))
 
 
 def test_sample_rank_single_object():

@@ -353,6 +353,34 @@ def test_report_csv_format(tmp_path):
     assert int(first[2]) == int(report.requests[0])
 
 
+def _reference_report_csv(report):
+    """The per-row loop write_report_csv once ran, formatting numpy
+    scalars one f-string at a time."""
+    log100 = np.log(np.arange(1, report.requests.size + 1)) / np.log(100.0)
+    lines = ["rank,log100_rank,requests,hits,misses,bandwidth\n"]
+    for i in range(report.requests.size):
+        lines.append(f"{i + 1},{log100[i]:.6f},{report.requests[i]},"
+                     f"{report.hits[i]},{report.misses[i]},"
+                     f"{report.imported_bandwidth[i]:.10e}\n")
+    return "".join(lines)
+
+
+def test_report_csv_matches_reference_row_loop(tmp_path):
+    requests = np.array([0, 1, 7, 2 ** 40, 2 ** 62, 0, 3], dtype=np.int64)
+    hits = np.array([0, 0, 7, 2 ** 39, 2 ** 62 - 1, 0, 1], dtype=np.int64)
+    by_hand = simulator.SimReport(
+        requests=requests, hits=hits, misses=requests - hits,
+        imported_bandwidth=np.array([0.0, 1e-300, 1e300, np.inf, 5e-324,
+                                     0.0, 1.0 / 3.0]),
+        hit_ratio=0.5, miss_ratio=0.5, total_bandwidth=np.inf, config={})
+    simulated = run_simulation(_config(n_objects=1000, total_requests=20000,
+                                       cache_capacity=50))
+    for report in (by_hand, simulated):
+        path = tmp_path / "report.csv"
+        write_report_csv(report, str(path))
+        assert path.read_bytes() == _reference_report_csv(report).encode()
+
+
 def test_summary_json_contents(tmp_path):
     config = _config(total_requests=600)
     report = run_simulation(config)

@@ -187,6 +187,30 @@ def test_trace_empty_or_headerless_rejected(tmp_path):
         load_trace(str(header_only))
 
 
+def test_trace_header_fields_read_like_rank_lines(tmp_path):
+    path = tmp_path / "hdr.trace"
+    # each key once, no other word, values in ASCII digits; int() and a
+    # dict of key=value parts read the first header as n_objects=9,
+    # session=2 (duplicate keys: last wins; unknown keys ignored)
+    for header in ("#n_objects=1_0 session=\u0662 n_objects=+9 bogus=1",
+                   "#n_objects=9 session=2 bogus=1",
+                   "#n_objects=9 n_objects=9 session=2",
+                   "#n_objects=+9 session=2", "#n_objects=1_0 session=2",
+                   "#n_objects=9 session=\u0662",
+                   "#n_objects=9\u00a0session=2",
+                   "#n_objects=9 session=2=3", "#n_objects=9",
+                   "#n_objects=9 session=" + "1" * 5000):
+        path.write_bytes(header.encode() + b"\n1\n")
+        with pytest.raises(TraceParseError, match="^" + re.escape(
+                f"{path}: line 1: malformed header {header!r}") + "$"):
+            load_trace(str(path))
+    for header in (b"#session=2 n_objects=9", b"# n_objects=009\tsession=2 \r",
+                   b"##n_objects=9\x1csession=2"):
+        path.write_bytes(header + b"\n1\n")
+        back = load_trace(str(path))
+        assert (back.n_objects, back.session_size) == (9, 2)
+
+
 def test_workload_generator_rejects_bad_counts():
     cat = build_catalog(5, 0.5)
     with pytest.raises(ValueError):
