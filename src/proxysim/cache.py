@@ -10,23 +10,22 @@ and ``lfu_classic`` both select this cache: the state depends only on
 request order, so sessions are bookkeeping. Plain LRU is the recency
 baseline.
 
-The LFU victim search keeps every resident but the newest admission in a
-heap whose stored counts are lower bounds; the newest admission waits
-in a pending slot. A count tie evicts the older entry, so the pending
-entry goes only when its count is below every other. Being new, it
-usually is, and it is evicted without a heap operation.
+``CacheState`` is the one LFU cache. It keeps every resident but the
+newest admission, the set S, in a heap whose stored counts are lower
+bounds; the newest admission waits in a pending slot. A count tie evicts
+the older entry, so the pending entry goes only when its count is below
+every other. Being new, it usually is, and it is evicted without a heap
+operation. One step applies each request to this state.
 
 :func:`replay` is the one entry point for a whole request array: it
 yields the hit flags of a fresh cache at each of several capacities.
-LFU replay is exact without a Python call per request. A full LFU
-cache is a set S of ``C - 1`` residents plus the pending slot, and S
-changes only at a swap, a miss that evicts a member of S in place of
+LFU replay is exact without a Python step per request. A full LFU cache
+changes S only at a swap, a miss that evicts a member of S in place of
 the pending entry. Between swaps a request hits iff its rank is in S or
 repeats the previous request outside S, so windows of requests are
-resolved in numpy, and only the rare misses whose pending count may
-reach the smallest count in S are checked against the heap. Where
-swaps come too often for windows to pay, the same arrays are resolved
-one request at a time until they thin out.
+resolved in numpy, and only the rare misses whose pending count reaches
+the smallest count in S take the step. The fill, and spans where swaps
+come too often for windows to pay, take it one request at a time.
 LRU needs no cache object: it is a stack algorithm, so a request hits
 exactly when the previous request for its rank is among the last
 requests of the ``C`` most recently used ranks. The previous and next
@@ -49,21 +48,21 @@ _SWAP_COST = 100        # a windowed swap costs about as many scalar hits
 
 
 class CacheState:
-    """Frequency-ordered cache of at most ``capacity`` objects.
+    """Frequency-ordered cache of at most ``capacity`` objects, over
+    non-negative int ranks.
 
     Eviction picks the resident entry with the smallest
     ``(access_count, insertion_seq)`` pair, exactly the entry a full
-    scan would choose. The newest admission sits in the ``_pending``
-    slot; the heap holds one ``(count, insertion_seq, rank)`` entry for
-    every other resident, whose stored count may lag the current count
-    but never exceeds it. ``heap[0][0]`` is therefore a lower bound on
-    the count of every non-pending resident, and the pending entry, with
-    the largest ``insertion_seq``, survives every count tie. A miss on a full
-    cache evicts the pending entry outright when its count is below
-    that bound; otherwise it refreshes lagging counts at the top and
-    either evicts the pending entry or swaps it in for the top with one
-    ``heapreplace`` (:func:`_evict`). Admissions into a cache that is
-    not full move the previous pending entry into the heap.
+    scan would choose. The state is arrays over ranks, read and written
+    as Python ints through memoryviews: the count of every rank, which
+    survives eviction, and membership of the set S of residents other
+    than the newest admission. That admission sits in the pending slot
+    with its insertion seq; the heap holds one ``(count, insertion_seq,
+    rank)`` entry for every member of S, whose stored count may lag the
+    current count but never exceeds it. ``heap[0][0]`` is therefore a
+    lower bound on every count in S, and the pending entry, with the
+    largest ``insertion_seq``, survives every count tie. :meth:`_resolve`
+    applies every request. The arrays grow when a larger rank arrives.
 
     ``warm`` pre-populates the cache with at most ``capacity`` distinct
     ranks, admitted at count 0 in ascending insertion order without
@@ -73,82 +72,108 @@ class CacheState:
     def __init__(self, capacity: int, warm=()):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        warm = list(warm)
+        if len(warm) > capacity:
+            raise ValueError(f"warm list exceeds capacity {capacity}")
+        if len(set(warm)) < len(warm):
+            raise ValueError("duplicate rank in warm list")
         self.capacity = capacity
-        self._counts: dict[int, int] = {}     # per object, survives eviction
-        self._resident: dict[int, int] = {}   # rank -> insertion_seq
-        self._heap: list[tuple[int, int, int]] = []
-        for seq, rank in enumerate(warm):
-            if rank in self._resident:
-                raise ValueError(f"duplicate rank {rank} in warm list")
-            if seq >= capacity:
-                raise ValueError(f"warm list exceeds capacity {capacity}")
-            self._counts[rank] = 0
-            self._resident[rank] = seq
-            self._heap.append((0, seq, rank))  # ascending keys: a valid heap
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._members = np.zeros(0, dtype=bool)
+        for rank in (0, *warm):       # checks and sizes: at least one rank
+            self._cover(rank)
+        # ascending keys form a valid heap
+        self._heap = [(0, seq, rank) for seq, rank in enumerate(warm[:-1])]
+        self._members[warm[:-1]] = True
         # the newest admission, kept out of the heap; None only when empty
-        self._pending = self._heap.pop()[2] if self._heap else None
-        self.next_seq = len(self._resident)
+        self._pending = warm[-1] if warm else None
+        self._admitted = len(warm) - 1
+        self.next_seq = len(warm)
+
+    def _cover(self, rank: int) -> None:
+        """Checks ``rank`` and extends the arrays over ranks to hold it,
+        at least doubling them."""
+        if rank < 0:
+            raise ValueError(f"ranks must be non-negative ints, got {rank}")
+        extra = rank + 1 - self._counts.size
+        if extra > 0:
+            extra = max(extra, self._counts.size)
+            self._counts = np.concatenate(
+                (self._counts, np.zeros(extra, dtype=np.int64)))
+            self._members = np.concatenate(
+                (self._members, np.zeros(extra, dtype=bool)))
+            self._count_at = memoryview(self._counts)
+            self._member_at = memoryview(self._members)
 
     def __contains__(self, rank: int) -> bool:
-        return rank in self._resident
+        return rank == self._pending or (
+            0 <= rank < self._members.size and self._member_at[rank])
 
     def __len__(self) -> int:
-        return len(self._resident)
+        return len(self._heap) + (self._pending is not None)
 
     @property
     def entries(self) -> dict[int, tuple[int, int]]:
-        """Resident ranks mapped to (access_count, insertion_seq)."""
-        return {r: (self._counts[r], q) for r, q in self._resident.items()}
+        """Resident ranks mapped to (access_count, insertion_seq), in
+        ascending insertion order."""
+        order = sorted((seq, rank) for _, seq, rank in self._heap)
+        if self._pending is not None:
+            order.append((self._admitted, self._pending))
+        return {rank: (self._count_at[rank], seq) for seq, rank in order}
 
     def access(self, rank: int) -> tuple[bool, int | None]:
         """Apply one request; returns (hit, evicted_rank_or_None)."""
-        counts = self._counts
-        resident = self._resident
-        if rank in resident:
-            counts[rank] += 1
+        self._cover(rank)
+        missed, _, evicted = self._resolve((rank,), self.next_seq)
+        if not missed:
             return True, None
-        pending = self._pending
-        if len(resident) < self.capacity:
-            evicted = None
-            if pending is not None:
-                heappush(self._heap,
-                         (counts[pending], resident[pending], pending))
-        else:
-            heap = self._heap
-            evicted = pending
-            count = counts[pending]
-            if heap and count >= heap[0][0]:
-                top = _evict(heap, counts, count, resident[pending], pending)
-                if top is not None:
-                    evicted = top
-            del resident[evicted]
-        counts[rank] = counts.get(rank, 0) + 1
-        seq = self.next_seq
-        self.next_seq = seq + 1
-        resident[rank] = seq
-        self._pending = rank
+        self.next_seq += 1
         return False, evicted
 
+    def _resolve(self, ranks, seq: int) -> tuple[list[int], int, int | None]:
+        """Applies the requests for ``ranks`` in turn, the k-th at insertion
+        seq ``seq + k``; returns the seqs of the misses, the number of
+        swaps and the victim of the last miss on a full cache.
 
-def _evict(heap: list, counts, count: int, seq: int,
-           rank: int) -> int | None:
-    """The victim search of a miss on a full LFU cache whose pending
-    entry ``(count, seq, rank)`` reaches ``heap[0][0]``.
-
-    Lagging tops are refreshed from ``counts`` until the top is current
-    or above ``count``. A current top that ``count`` reaches is the
-    victim, since the pending entry survives count ties: the pending
-    entry replaces it in the heap and the top is returned. Otherwise the
-    pending entry is the victim and the result is None.
-    """
-    while count >= heap[0][0]:
-        top_count, top_seq, top = heap[0]
-        current = counts[top]
-        if current == top_count:              # top is current: it goes
-            heapreplace(heap, (count, seq, rank))
-            return top
-        heapreplace(heap, (current, top_seq, top))  # refresh the top
-    return None
+        A request in S or for the pending rank hits. A miss on a cache
+        with room moves the pending entry into S. A miss on a full cache
+        evicts the pending entry outright when its count is below
+        ``heap[0][0]``. Otherwise lagging tops are refreshed until the top
+        is current or above that count; a current top that the count
+        reaches is the victim, and the pending entry swaps in for it with
+        one ``heapreplace``. Either way the requested rank becomes the
+        pending entry.
+        """
+        count_at, member_at, heap = self._count_at, self._member_at, self._heap
+        pending, admitted = self._pending, self._admitted
+        free = self.capacity - len(heap) - (pending is not None)
+        missed, swaps, evicted = [], 0, None
+        for i, rank in enumerate(ranks, seq):
+            count_at[rank] += 1
+            if member_at[rank] or rank == pending:
+                continue
+            missed.append(i)
+            if free:
+                if pending is not None:
+                    heappush(heap, (count_at[pending], admitted, pending))
+                    member_at[pending] = True
+                free -= 1
+            else:
+                evicted, count = pending, count_at[pending]
+                while heap and count >= heap[0][0]:
+                    top_count, top_seq, top = heap[0]
+                    current = count_at[top]
+                    if current == top_count:          # top is current: it goes
+                        heapreplace(heap, (count, admitted, pending))
+                        member_at[top] = False
+                        member_at[pending] = True
+                        evicted = top
+                        swaps += 1
+                        break
+                    heapreplace(heap, (current, top_seq, top))  # refresh it
+            pending, admitted = rank, i
+        self._pending, self._admitted = pending, admitted
+        return missed, swaps, evicted
 
 
 def replay(policy: str, requests: np.ndarray,
@@ -157,28 +182,27 @@ def replay(policy: str, requests: np.ndarray,
     ``capacities``; yields one array of hit flags, one per request, for
     each capacity in turn, so a caller can drop each before the next.
 
-    The policy and every capacity are checked here, before any replay.
-    Ranks are non-negative ints; LFU replay keeps arrays indexed by them.
+    The policy, every capacity and the ranks, which must be non-negative
+    ints, are checked here, before any replay; LFU replay keeps arrays
+    indexed by ranks.
 
     LFU names give the flags of ``CacheState.access``, found in phases:
 
-    - Up to the fill point, where the ``capacity``-th distinct rank
-      arrives, nothing is evicted, so a request hits iff its rank came
-      before.
-    - After it the cache holds a set S of ``capacity - 1`` residents and
-      the pending entry, the newest admission. A request in S hits; one
+    - Until the cache is full, chunks of ``_FIRST_WINDOW`` requests take
+      the ``CacheState`` step one request at a time.
+    - Then the cache holds a set S of ``capacity - 1`` residents and the
+      pending entry, the newest admission. A request in S hits; one
       outside S hits iff it repeats the previous request outside S, the
       pending rank. Any other request misses and evicts the pending
       entry, unless the pending count reaches the smallest count in S,
       whose oldest entry then swaps places with it. Windows of requests
       are resolved this way in numpy with S fixed: 64 at first, doubling
       after a window without a swap and shrinking after one. Only the
-      misses whose pending count may reach the heap's lower bound on S
-      are checked against the heap, and a swap ends the window.
+      misses whose exact pending count reaches the heap's lower bound on
+      S take the step, and a swap ends the window.
     - Every ``_SPAN`` requests the swap rate is checked. Where windows
-      would cost more than resolving each request in Python, the next
-      span is resolved a request at a time on the same arrays, heap and
-      pending rank, until swaps thin out.
+      would cost more than the step per request, the next span takes the
+      step one request at a time, until swaps thin out.
 
     Beside the flags the LFU replay keeps only arrays over ranks and
     per-window temporaries. ``lru`` finds ``prev[i]`` and ``next[i]``,
@@ -200,6 +224,8 @@ def replay(policy: str, requests: np.ndarray,
     for capacity in capacities:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+    if requests.min(initial=0) < 0:
+        raise ValueError("ranks must be non-negative ints")
     return _replay(policy, requests, capacities)
 
 
@@ -248,6 +274,8 @@ def _lfu_flags(requests: np.ndarray, capacity: int) -> np.ndarray:
     """Hit flags of a fresh LFU cache of ``capacity``; see :func:`replay`."""
     flags = np.empty(requests.size, dtype=bool)
     state = _LfuState(requests, capacity, flags)
+    while state.at < requests.size and len(state) < capacity:  # the fill
+        state.scalar(min(state.at + _FIRST_WINDOW, requests.size))
     resolve = state.windows
     while state.at < requests.size:
         start = state.at
@@ -259,74 +287,39 @@ def _lfu_flags(requests: np.ndarray, capacity: int) -> np.ndarray:
     return flags
 
 
-class _LfuState:
-    """A full LFU cache as arrays over ranks, resolved a window or a
-    request at a time.
-
-    It holds the set S of residents other than the pending one, the
-    count of every rank, ``CacheState``'s lazy heap over S, and the
-    pending rank with the position that admitted it. Admission positions
-    order residents as ``next_seq`` does.
-    """
+class _LfuState(CacheState):
+    """The LFU cache of one replay, with arrays over every rank in
+    ``requests`` and request positions for insertion seqs, resolved a
+    window or a request at a time from position ``at``; it writes the
+    hit flag of each request into ``flags``."""
 
     def __init__(self, requests: np.ndarray, capacity: int,
                  flags: np.ndarray):
-        """Flags every request up to the fill point, where the
-        ``capacity``-th distinct rank arrives, and takes the state just
-        after it; ``at`` is past the end when the cache never fills. Up
-        to the fill point nothing is evicted, so a request hits iff its
-        rank came before."""
+        super().__init__(capacity)
+        self._cover(int(requests.max(initial=0)))
         self.requests, self.flags = requests, flags
-        total = requests.size
-        first = np.full(int(requests.max(initial=0)) + 1, total)
-        distinct, start, width = 0, 0, _FIRST_WINDOW
-        while start < total:
-            stop = min(start + width, total)
-            ranks, at = np.unique(requests[start:stop], return_index=True)
-            new = first[ranks] == total
-            ranks, at = ranks[new], at[new] + start
-            first[ranks] = at
-            flags[start:stop] = True
-            flags[at] = False
-            if distinct + ranks.size >= capacity:
-                fill = int(np.sort(at)[capacity - distinct - 1])
-                break
-            distinct += ranks.size
-            start, width = stop, min(2 * width, _SPAN)
-        else:
-            self.at = total
-            return
-        self.at = fill + 1            # the next request to resolve
+        self.at = 0                   # the next request to resolve
         self.width = _FIRST_WINDOW
-        self.counts = np.bincount(requests[:fill + 1], minlength=first.size)
-        self.tally = np.zeros_like(self.counts)   # zero between windows
-        self.members = first < fill   # rank -> in S
-        # the same arrays, read and written as Python ints
-        self.count_at = memoryview(self.counts)
-        self.member_at = memoryview(self.members)
-        ranks = np.flatnonzero(self.members)
-        # sorted keys form a valid heap
-        self.heap = sorted(zip(self.counts[ranks].tolist(),
-                               first[ranks].tolist(), ranks.tolist()))
-        self.pending, self.admitted = int(requests[fill]), fill
+        self.tally = np.zeros_like(self._counts)   # zero between windows
 
     def windows(self, end: int) -> tuple[int, int]:
-        """Resolves requests up to ``end`` a window at a time, stopping
-        early once swaps are dense; returns the numbers of swaps and
-        misses.
+        """Resolves requests up to ``end`` on a full cache a window at a
+        time, stopping early once swaps are dense; returns the numbers of
+        swaps and misses.
 
         Within a window S is taken as fixed: a request in S hits, and a
         request outside S hits iff it repeats the previous request
         outside S, the pending rank. A miss is a swap candidate when the
         pending count may reach ``heap[0][0]``, a lower bound on every
-        count in S. Each candidate is resolved exactly by :func:`_evict`,
-        with counts brought up to its position. A swap ends the window,
-        since the flags past it assumed the old S: the next window starts
-        after it and rewrites them.
+        count in S. With counts brought up to its position, a candidate
+        whose exact pending count reaches that bound goes through
+        :meth:`_resolve`. A swap ends the window, since the flags past it
+        assumed the old S: the next window starts after it and rewrites
+        them.
         """
-        requests, flags, counts = self.requests, self.flags, self.counts
-        members, tally, heap = self.members, self.tally, self.heap
-        count_at = self.count_at
+        requests, flags, counts = self.requests, self.flags, self._counts
+        members, tally, heap = self._members, self.tally, self._heap
+        count_at = self._count_at
         at, width = self.at, self.width
         # past this many swaps the span is dense even if every request misses
         budget = 2 * (end - at) // _SWAP_COST
@@ -339,7 +332,7 @@ class _LfuState:
             outside = (~inside).nonzero()[0]
             ranks = window[outside]
             # the pending rank at each request outside S
-            prev = np.concatenate(([self.pending], ranks[:-1]))
+            prev = np.concatenate(([self._pending], ranks[:-1]))
             repeat = ranks == prev
             flags[at:stop][outside] = repeat
             misses = (~repeat).nonzero()[0]
@@ -356,14 +349,14 @@ class _LfuState:
                 np.add.at(counts, window[done:j], 1)
                 done = j
                 rank = int(pending[m])
-                seq = at + int(outside[misses[m - 1]]) if m else self.admitted
-                top = _evict(heap, count_at, count_at[rank], seq, rank)
-                if top is not None:       # a swap at j ends the window
-                    members[top] = False
-                    members[rank] = True
-                    misses_seen += m + 1
-                    counts[window[j]] += 1
-                    self.pending, self.admitted = int(window[j]), at + j
+                if count_at[rank] < heap[0][0]:
+                    continue
+                if m:
+                    self._admitted = at + int(outside[misses[m - 1]])
+                self._pending = rank
+                done = j + 1
+                if self._resolve((int(window[j]),), at + j)[1]:
+                    misses_seen += m + 1  # a swap at j ends the window
                     at += j + 1
                     swaps += 1
                     width = max(width // 4, _FIRST_WINDOW)
@@ -372,39 +365,20 @@ class _LfuState:
                 misses_seen += misses.size
                 np.add.at(counts, window[done:], 1)
                 if misses.size:
-                    self.pending = int(ranks[-1])
-                    self.admitted = at + int(outside[misses[-1]])
+                    self._pending = int(ranks[-1])
+                    self._admitted = at + int(outside[misses[-1]])
                 at = stop
                 width = min(2 * width, _SPAN)
         self.at, self.width = at, width
         return swaps, misses_seen
 
     def scalar(self, end: int) -> tuple[int, int]:
-        """Resolves requests up to ``end`` one at a time, reading and
-        writing the rank arrays as plain ints; returns the numbers of
-        swaps and misses.
-
-        A request in S or for the pending rank hits. Any other request
-        misses and evicts the pending entry, unless the pending count
-        reaches ``heap[0][0]`` and :func:`_evict` swaps it into S.
-        """
-        count_at, member_at, heap = self.count_at, self.member_at, self.heap
-        pending, admitted, start = self.pending, self.admitted, self.at
-        missed, swaps = [], 0
-        for i, rank in enumerate(self.requests[start:end].tolist(), start):
-            count_at[rank] += 1
-            if member_at[rank] or rank == pending:
-                continue
-            missed.append(i)
-            count = count_at[pending]
-            if heap and count >= heap[0][0]:
-                top = _evict(heap, count_at, count, admitted, pending)
-                if top is not None:
-                    member_at[top] = False
-                    member_at[pending] = True
-                    swaps += 1
-            pending, admitted = rank, i
+        """Resolves requests up to ``end`` one at a time through
+        :meth:`_resolve`; returns the numbers of swaps and misses."""
+        start = self.at
+        missed, swaps, _ = self._resolve(
+            self.requests[start:end].tolist(), start)
         self.flags[start:end] = True
         self.flags[missed] = False
-        self.pending, self.admitted, self.at = pending, admitted, end
+        self.at = end
         return swaps, len(missed)

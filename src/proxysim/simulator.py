@@ -339,9 +339,5 @@ def write_comparison_csv(rows: list[CapacityComparison], path: str) -> None:
     with open(path, "w") as f:
         f.write("capacity,simulated_hit_ratio,top_c_mass,gap,sim_bandwidth,"
                 "model_bandwidth_product,model_bandwidth_ratio\n")
-        for row in rows:
-            f.write(f"{row.capacity},{row.simulated_hit_ratio:.10e},"
-                    f"{row.top_c_mass:.10e},{row.gap:.10e},"
-                    f"{row.sim_bandwidth:.10e},"
-                    f"{row.model_bandwidth_product:.10e},"
-                    f"{row.model_bandwidth_ratio:.10e}\n")
+        f.writelines(map("%d,%.10e,%.10e,%.10e,%.10e,%.10e,%.10e\n".__mod__,
+                         rows))

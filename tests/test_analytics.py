@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from proxysim.analytics import (BandwidthParams, aggregate_bandwidth,
-                                bandwidth_per_rank, hit_miss_on_demand,
-                                miss_probability, model_report, top_c_mass,
+from proxysim.analytics import (BandwidthParams, ModelReport,
+                                aggregate_bandwidth, bandwidth_per_rank,
+                                hit_miss_on_demand, miss_probability,
+                                model_report, top_c_mass,
                                 top_c_mass_asymptotic, write_model_report_csv)
 from proxysim.popularity import build_catalog
 from proxysim.workload import ObjectAttributes, assign_attributes
@@ -235,6 +236,38 @@ def test_model_report_csv_format(tmp_path):
     assert float(p) == pytest.approx(cat.probabilities[0], rel=1e-10)
     assert float(miss) == pytest.approx(report.per_rank_miss[0], rel=1e-10)
     assert float(bw) == pytest.approx(report.per_rank_bandwidth[0], rel=1e-10)
+
+
+def _reference_model_report_csv(report, catalog):
+    """The per-row loop write_model_report_csv once ran, formatting numpy
+    scalars one f-string at a time."""
+    lines = ["rank,p,miss_prob,bandwidth\n"]
+    for i in range(catalog.n_objects):
+        lines.append(f"{i + 1},{catalog.probabilities[i]:.10e},"
+                     f"{report.per_rank_miss[i]:.10e},"
+                     f"{report.per_rank_bandwidth[i]:.10e}\n")
+    lines.append(f"# summary h_demand={report.h_demand:.10e} "
+                 f"top_c_mass={report.top_c_mass:.10e} "
+                 f"aggregate_bandwidth={report.aggregate_bandwidth:.10e}\n")
+    return "".join(lines)
+
+
+def test_model_report_csv_matches_reference_row_loop(tmp_path):
+    cat = build_catalog(6, 0.98)
+    by_hand = ModelReport(
+        per_rank_miss=np.array([0.0, 1e-300, 1.0, 5e-324, 1.0 / 3.0, 0.5]),
+        h_demand=np.float64(2.0 / 3.0), top_c_mass=0.0,
+        per_rank_bandwidth=np.array([1e300, np.inf, 0.0, 7.0, 1e-9, 2.5]),
+        aggregate_bandwidth=np.inf)
+    big = build_catalog(1000, 0.64)
+    modelled = model_report(big, assign_attributes(1000, seed=5),
+                            BandwidthParams(k=0.5, cache_capacity=50),
+                            10_000)
+    for report, catalog in ((by_hand, cat), (modelled, big)):
+        path = tmp_path / "model.csv"
+        write_model_report_csv(report, catalog, str(path))
+        assert path.read_bytes() == \
+            _reference_model_report_csv(report, catalog).encode()
 
 
 @pytest.mark.parametrize("rate_convention", ["product", "ratio"])

@@ -262,9 +262,9 @@ def test_brute_force_equivalence_random_traces():
 
 @pytest.mark.parametrize("width", [1, 7, 50])
 def test_lfu_replay_window_boundaries_match_reference(monkeypatch, width):
-    # LFU replay resolves requests a window at a time, checks its swap
-    # rate once per span and converts ranks for access() a span at a
-    # time; none of these boundaries may change a single flag
+    # LFU replay fills the cache a chunk at a time, then resolves
+    # requests a window at a time and checks its swap rate once per span;
+    # none of these boundaries may change a single flag
     monkeypatch.setattr(cache_module, "_FIRST_WINDOW", width)
     monkeypatch.setattr(cache_module, "_SPAN", 2 * width + 1)
     ranks = generate_workload(build_catalog(30, 0.7), 200, 200,
@@ -274,16 +274,17 @@ def test_lfu_replay_window_boundaries_match_reference(monkeypatch, width):
 
 def _count_switches(monkeypatch):
     """Counts of the LFU replay's switches from windows to per-request
-    resolution and back."""
+    resolution and back, once the cache is full."""
     calls = {"scalar": 0, "windows": 0}
     last = {}                     # replay state -> its last method
     for name in calls:
         method = getattr(cache_module._LfuState, name)
 
         def spy(state, *args, name=name, method=method):
-            if last.get(state, "windows") != name:
-                calls[name] += 1
-            last[state] = name
+            if len(state) == state.capacity:  # the fill is not a switch
+                if last.get(state, "windows") != name:
+                    calls[name] += 1
+                last[state] = name
             return method(state, *args)
         monkeypatch.setattr(cache_module._LfuState, name, spy)
     return calls
@@ -310,7 +311,9 @@ def test_lfu_replay_matches_reference_property(ranks, capacity, width, span,
 def test_lfu_replay_switches_to_scalar_and_back(monkeypatch):
     # a swap every few requests is dense at any swap cost above a few
     # hits, so the replay resolves requests one at a time and, once a
-    # span of hits follows, goes back to windows
+    # span of hits follows, goes back to windows; a short fill chunk
+    # leaves the dense requests to the full cache
+    monkeypatch.setattr(cache_module, "_FIRST_WINDOW", 2)
     monkeypatch.setattr(cache_module, "_SPAN", 8)
     calls = _count_switches(monkeypatch)
     ranks = [1, 2, 3, 1, 2, 3, 3, 1, 2, 2] * 4 + [1, 1] * 20 + [3, 2] * 8
@@ -331,6 +334,46 @@ def test_lfu_replay_switches_to_scalar_and_back(monkeypatch):
 ])
 def test_lfu_replay_edge_traces(ranks, capacity):
     _assert_replay_matches("session_lfu", ReferenceCache, ranks, [capacity])
+
+
+def test_lfu_replay_windows_only_on_a_full_cache(monkeypatch):
+    # the fill crosses many chunks of _FIRST_WINDOW requests; windows
+    # assume S has capacity - 1 members, so none may start before that
+    monkeypatch.setattr(cache_module, "_FIRST_WINDOW", 4)
+    monkeypatch.setattr(cache_module, "_SPAN", 16)
+    fill_chunks = []
+    for name in ("scalar", "windows"):
+        method = getattr(cache_module._LfuState, name)
+
+        def spy(state, end, name=name, method=method):
+            if len(state) < state.capacity:
+                assert name == "scalar"
+                fill_chunks.append(end)
+            return method(state, end)
+        monkeypatch.setattr(cache_module._LfuState, name, spy)
+    ranks = generate_workload(build_catalog(100, 0.5), 2000, 2000,
+                              seed=5).requests.tolist()
+    _assert_replay_matches("session_lfu", ReferenceCache, ranks, [1, 30, 60])
+    assert len(fill_chunks) > 5
+
+
+def test_cache_state_rejects_negative_ranks():
+    with pytest.raises(ValueError):
+        CacheState(2).access(-1)
+    with pytest.raises(ValueError):
+        CacheState(2, warm=[3, -1])
+
+
+def test_cache_state_grows_for_large_ranks():
+    # rank 10,000 lies far past the arrays of a fresh CacheState(2)
+    ranks = [1, 10_000, 1, 3, 10_000, 10_000, 20_000, 3, 3, 2, 10_000, 7]
+    cache = CacheState(2)
+    ref = ReferenceCache(2)
+    for rank in ranks:
+        assert cache.access(rank) == ref.access(rank)
+        assert list(cache.entries.items()) == [
+            (r, (ref.counts[r], seq)) for r, seq in ref.resident.items()]
+    assert 20_000 not in cache and 30_000 not in cache and -1 not in cache
 
 
 def test_lfu_replay_equals_cache_state_on_zipf_trace(monkeypatch):
@@ -408,3 +451,5 @@ def test_replay_one_request(policy):
         [False], [False]]
     with pytest.raises(ValueError):
         replay(policy, np.array([3]), [1, 0])
+    with pytest.raises(ValueError):                 # past the fill point too
+        replay(policy, np.array([2, 3, 2, -1]), [1])

@@ -411,6 +411,32 @@ def test_comparison_csv_format(tmp_path):
     assert lines[1].split(",")[0] == "5"
 
 
+def _reference_comparison_csv(rows):
+    """The per-row loop write_comparison_csv once ran."""
+    lines = ["capacity,simulated_hit_ratio,top_c_mass,gap,sim_bandwidth,"
+             "model_bandwidth_product,model_bandwidth_ratio\n"]
+    for row in rows:
+        lines.append(f"{row.capacity},{row.simulated_hit_ratio:.10e},"
+                     f"{row.top_c_mass:.10e},{row.gap:.10e},"
+                     f"{row.sim_bandwidth:.10e},"
+                     f"{row.model_bandwidth_product:.10e},"
+                     f"{row.model_bandwidth_ratio:.10e}\n")
+    return "".join(lines)
+
+
+def test_comparison_csv_matches_reference_row_loop(tmp_path):
+    by_hand = [simulator.CapacityComparison(
+        capacity=2 ** 40, simulated_hit_ratio=np.float64(0.0),
+        top_c_mass=1.0 / 3.0, gap=5e-324, sim_bandwidth=np.inf,
+        model_bandwidth_product=1e300, model_bandwidth_ratio=1e-300)]
+    compared = compare_analytic(_config(cache_capacity=(1, 5, 100),
+                                        total_requests=1000))
+    for rows in (by_hand, compared, []):
+        path = tmp_path / "cmp.csv"
+        write_comparison_csv(rows, str(path))
+        assert path.read_bytes() == _reference_comparison_csv(rows).encode()
+
+
 def test_workload_trace_session_sizes_respected():
     config = _config(total_requests=2500, session_size=400)
     report = run_simulation(config)

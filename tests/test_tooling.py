@@ -62,7 +62,7 @@ def test_demo_imports_exist():
 
 @pytest.mark.parametrize("demo", ["popularity_model", "zeta_tail_terms",
                                   "replacement_policies",
-                                  "model_vs_simulation"])
+                                  "model_vs_simulation", "traffic_grid"])
 def test_demo_runs(demo, tmp_path):
     # a demo broken by API drift must fail here, not in a reader's hands
     proc = subprocess.run([sys.executable, str(DEMOS / f"{demo}.py")],
