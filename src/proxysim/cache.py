@@ -226,15 +226,14 @@ def replay(policy: str, requests: np.ndarray,
             raise ValueError(f"capacity must be >= 1, got {capacity}")
     if requests.min(initial=0) < 0:
         raise ValueError("ranks must be non-negative ints")
-    return _replay(policy, requests, capacities)
+    if policy == "lru":
+        return _lru_flags(requests, capacities)
+    return (_lfu_flags(requests, capacity) for capacity in capacities)
 
 
-def _replay(policy: str, requests: np.ndarray,
-            capacities: Sequence[int]) -> Iterator[np.ndarray]:
-    if policy != "lru":
-        for capacity in capacities:
-            yield _lfu_flags(requests, capacity)
-        return
+def _lru_flags(requests: np.ndarray,
+               capacities: Sequence[int]) -> Iterator[np.ndarray]:
+    """Hit flags of a fresh LRU cache of each capacity; see :func:`replay`."""
     total = requests.size
     # the narrowest type that holds every rank: at 16 bits or fewer
     # numpy's stable sort is a radix sort

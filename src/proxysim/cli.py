@@ -46,15 +46,22 @@ def _int_list(text: str) -> tuple[int, ...]:
     return items
 
 
-def _atomic_write(path: str, writer) -> None:
-    """Write via a sibling temp file, renaming only on success."""
-    tmp = f"{path}.tmp{os.getpid()}"
+def _commit(outputs: dict) -> None:
+    """Write each path of ``outputs`` through its writer to a sibling temp
+    file, then rename them all in order; if any step fails, remove every
+    temp file and every file already renamed, and re-raise."""
+    staged = {path: f"{path}.tmp{os.getpid()}" for path in outputs}
+    placed = []
     try:
-        writer(tmp)
-        os.replace(tmp, path)
+        for path, writer in outputs.items():
+            writer(staged[path])
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for name in [*placed, *staged.values()]:
+            if os.path.exists(name):
+                os.unlink(name)
         raise
 
 
@@ -171,7 +178,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8", errors="replace", newline="") as f:
+    first_line: dict[str, int] = {}
+    with open(path, encoding="utf-8-sig", errors="replace", newline="") as f:
         for lineno, line in enumerate(f.read().split("\n"), start=1):
             s = line.strip()
             if not s or s.startswith("#"):
@@ -180,7 +188,11 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(
                     f"{path}: line {lineno}: expected key=value, got {s!r}")
             key, value = s.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in first_line:
+                raise ValueError(f"{path}: line {lineno}: {key} given twice "
+                                 f"(first on line {first_line[key]})")
+            first_line[key], values[key] = lineno, value.strip()
     return values
 
 
@@ -224,7 +236,7 @@ def cmd_gen(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     workload_seed, _ = spawn_seeds(args.seed, 2)
     workload = generate_workload(catalog, args.requests, args.session,
                                  workload_seed)
-    _atomic_write(args.out, lambda p: save_trace(workload, p))
+    _commit({args.out: lambda p: save_trace(workload, p)})
     print(f"wrote {args.out} ({workload.total_requests} requests, "
           f"N={workload.n_objects})")
     return 0
@@ -275,32 +287,28 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     comparison = compare_run([report]) if args.compare else None
 
     os.makedirs(args.out_dir, exist_ok=True)
-    report_path = os.path.join(args.out_dir, "report.csv")
-    summary_path = os.path.join(args.out_dir, "summary.json")
-    _atomic_write(report_path, lambda p: write_report_csv(report, p))
-    _atomic_write(summary_path, lambda p: write_summary_json(report, p))
-    written = [report_path, summary_path]
+    outputs = {
+        os.path.join(args.out_dir, "report.csv"):
+            lambda p: write_report_csv(report, p),
+        os.path.join(args.out_dir, "summary.json"):
+            lambda p: write_summary_json(report, p)}
     if comparison is not None:
-        cmp_path = os.path.join(args.out_dir, "comparison.csv")
-        _atomic_write(cmp_path, lambda p: write_comparison_csv(comparison, p))
-        written.append(cmp_path)
+        outputs[os.path.join(args.out_dir, "comparison.csv")] = (
+            lambda p: write_comparison_csv(comparison, p))
+    _commit(outputs)
     print(f"hit_ratio={report.hit_ratio:.6f} "
           f"miss_ratio={report.miss_ratio:.6f} "
           f"total_bandwidth={report.total_bandwidth:.6e}")
-    for path in written:
+    for path in outputs:
         print(f"wrote {path}")
     return 0
-
-
-def _sweep_stem(alpha: float, capacity: int) -> str:
-    """File-name stem of one sweep point's report and summary."""
-    return f"a{alpha:g}_c{capacity}"
 
 
 def cmd_sweep(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require(sub, args, "seed", "out-dir")
     config = _sim_config(args, args.alphas, args.capacities)
-    stems = [_sweep_stem(alpha, capacity) for alpha in config.alphas
+    # alpha-major, as sweep returns its reports
+    stems = [f"a{alpha:g}_c{capacity}" for alpha in config.alphas
              for capacity in config.capacities]
     clash = next((s for s in stems if stems.count(s) > 1), None)
     if clash is not None:
@@ -309,25 +317,21 @@ def cmd_sweep(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     reports = sweep(config)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    manifest = {"outputs": []}
-    for report in reports:
-        alpha = report.config["alpha"]
-        capacity = report.config["cache_capacity"]
-        stem = _sweep_stem(alpha, capacity)
-        report_path = os.path.join(args.out_dir, f"report_{stem}.csv")
-        summary_path = os.path.join(args.out_dir, f"summary_{stem}.json")
-        _atomic_write(report_path, lambda p, r=report: write_report_csv(r, p))
-        _atomic_write(summary_path,
-                      lambda p, r=report: write_summary_json(r, p))
-        manifest["outputs"].append({
-            "alpha": alpha, "capacity": capacity,
-            "seed": report.config["seed"],
-            "hit_ratio": report.hit_ratio,
-            "report_csv": os.path.basename(report_path),
-            "summary_json": os.path.basename(summary_path),
-        })
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
-    _atomic_write(manifest_path, lambda p: write_json(manifest, p))
+    outputs, manifest = {}, {"outputs": []}
+    for stem, report in zip(stems, reports):
+        entry = {"alpha": report.config["alpha"],
+                 "capacity": report.config["cache_capacity"],
+                 "seed": report.config["seed"], "hit_ratio": report.hit_ratio,
+                 "report_csv": f"report_{stem}.csv",
+                 "summary_json": f"summary_{stem}.json"}
+        manifest["outputs"].append(entry)
+        outputs[os.path.join(args.out_dir, entry["report_csv"])] = (
+            lambda p, r=report: write_report_csv(r, p))
+        outputs[os.path.join(args.out_dir, entry["summary_json"])] = (
+            lambda p, r=report: write_summary_json(r, p))
+    outputs[os.path.join(args.out_dir, "manifest.json")] = (
+        lambda p: write_json(manifest, p))
+    _commit(outputs)
     print(f"wrote {len(reports)} reports and manifest.json to {args.out_dir}")
     return 0
 
@@ -345,8 +349,7 @@ def cmd_estimate(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     else:
         variant = "paper_literal" if args.mode == "paper" else "corrected"
         mass = top_c_mass_asymptotic(catalog, args.capacity, variant)
-    _atomic_write(args.out,
-                  lambda p: write_model_report_csv(report, catalog, p))
+    _commit({args.out: lambda p: write_model_report_csv(report, catalog, p)})
     print(f"aggregate_bandwidth={report.aggregate_bandwidth:.6e} "
           f"top_c_mass_{args.mode}={mass:.6e}")
     print(f"wrote {args.out}")

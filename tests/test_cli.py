@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from proxysim import simulator
+from proxysim import cli, simulator
 from proxysim.cli import main
 from proxysim.simulator import (SimConfig, compare_analytic,
                                 write_comparison_csv)
@@ -214,6 +215,57 @@ def test_sweep_rejects_points_sharing_a_file_name(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+_RUN_POINT = ["run", "--objects", "50", "--alpha", "0.7", "--requests", "500",
+              "--capacity", "5", "--seed", "1"]
+_SWEEP_GRID = ["sweep", "--objects", "50", "--requests", "500",
+               "--alphas", "0.9,0.4", "--capacities", "8", "--seed", "2"]
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (_RUN_POINT, "summary.json"),
+    (_RUN_POINT + ["--compare"], "comparison.csv"),
+    (_SWEEP_GRID, "report_a0.4_c8.csv"),
+    (_SWEEP_GRID, "manifest.json"),
+])
+def test_failed_write_removes_every_output(tmp_path, capsys, monkeypatch,
+                                           argv, blocked):
+    # a directory in the way fails the rename of one output after the
+    # outputs before it have been put in place
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: 1)
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)
+    assert main([*argv, "--out-dir", str(out_dir)]) == 1
+    _assert_one_line_error(capsys, f"proxysim {argv[0]}: error: ")
+    assert [p.name for p in out_dir.iterdir()] == [blocked]
+    assert (out_dir / blocked).is_dir()
+
+
+def test_sweep_renames_after_every_write_and_manifest_last(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: 1)
+    events = []
+
+    def record(kind, fn):
+        def wrapper(*args):
+            # a writer's last argument is its temp path, a rename's the
+            # final path
+            name = os.path.basename(args[-1]).split(".tmp")[0]
+            events.append((kind, name))
+            return fn(*args)
+        return wrapper
+
+    for name in ("write_report_csv", "write_summary_json", "write_json"):
+        monkeypatch.setattr(cli, name, record("write", getattr(cli, name)))
+    monkeypatch.setattr(os, "replace", record("rename", os.replace))
+    out_dir = tmp_path / "out"
+    assert main([*_SWEEP_GRID, "--out-dir", str(out_dir)]) == 0
+    names = [name for _, name in events[:len(events) // 2]]
+    assert events == ([("write", name) for name in names]
+                      + [("rename", name) for name in names])
+    assert names[-1] == "manifest.json"
+    assert sorted(names) == sorted(p.name for p in out_dir.iterdir())
+
+
 def test_estimate_exact_summary(tmp_path, capsys):
     out = tmp_path / "model.csv"
     assert main(["estimate", "--objects", "3", "--alpha", "1",
@@ -306,6 +358,33 @@ def test_config_file_lines_end_at_newline_only(tmp_path, capsys):
         _assert_one_line_error(capsys,
                                f"proxysim gen: error: {cfg}: {message}")
         assert not out.exists()
+
+
+def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
+    # '-' and '_' spell one key
+    cfg = tmp_path / "dup.cfg"
+    out_dir = tmp_path / "run"
+    for body, message in (
+            ("seed=1\n# again\nseed=2\n",
+             "line 3: seed given twice (first on line 1)"),
+            (f"out-dir={out_dir}\nout_dir={out_dir}\n",
+             "line 2: out_dir given twice (first on line 1)")):
+        cfg.write_text(body)
+        assert main(["run", "--config", str(cfg), "--objects", "50",
+                     "--requests", "200", "--alpha", "0.7", "--capacity",
+                     "5", "--seed", "4", "--out-dir", str(out_dir)]) == 1
+        _assert_one_line_error(capsys,
+                               f"proxysim run: error: {cfg}: {message}")
+        assert not out_dir.exists()
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    out = tmp_path / "c.trace"
+    cfg.write_text(f"\ufeffobjects=4\nrequests=6\nalpha=0.5\nseed=9\n"
+                   f"out={out}\n", encoding="utf-8")
+    assert main(["gen", "--config", str(cfg)]) == 0
+    assert out.read_text().splitlines()[0].startswith("#n_objects=4 ")
 
 
 def test_config_file_rejects_value_outside_choices(tmp_path, capsys):
