@@ -42,7 +42,7 @@ from heapq import heappush, heapreplace
 import numpy as np
 
 POLICIES = ("session_lfu", "lru", "lfu_classic")
-_FIRST_WINDOW = 64      # requests in the first LFU window
+_FIRST_WINDOW = 64      # requests in the first and smallest LFU window
 _SPAN = 1 << 14         # requests between checks of the LFU swap rate
 _SWAP_COST = 100        # a windowed swap costs about as many scalar hits
 
@@ -188,8 +188,8 @@ def replay(policy: str, requests: np.ndarray,
 
     LFU names give the flags of ``CacheState.access``, found in phases:
 
-    - Until the cache is full, chunks of ``_FIRST_WINDOW`` requests take
-      the ``CacheState`` step one request at a time.
+    - Spans of ``_SPAN`` requests take the ``CacheState`` step one
+      request at a time until the cache is full.
     - Then the cache holds a set S of ``capacity - 1`` residents and the
       pending entry, the newest admission. A request in S hits; one
       outside S hits iff it repeats the previous request outside S, the
@@ -235,11 +235,9 @@ def _lru_flags(requests: np.ndarray,
                capacities: Sequence[int]) -> Iterator[np.ndarray]:
     """Hit flags of a fresh LRU cache of each capacity; see :func:`replay`."""
     total = requests.size
-    # the narrowest type that holds every rank: at 16 bits or fewer
-    # numpy's stable sort is a radix sort
-    keys = requests.astype(np.promote_types(
-        np.min_scalar_type(requests.min(initial=0)),
-        np.min_scalar_type(requests.max(initial=0))))
+    # the narrowest type that holds every rank, none negative: at 16 bits
+    # or fewer numpy's stable sort is a radix sort
+    keys = requests.astype(np.min_scalar_type(requests.max(initial=0)))
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     same = sorted_keys[1:] == sorted_keys[:-1]
@@ -273,15 +271,14 @@ def _lfu_flags(requests: np.ndarray, capacity: int) -> np.ndarray:
     """Hit flags of a fresh LFU cache of ``capacity``; see :func:`replay`."""
     flags = np.empty(requests.size, dtype=bool)
     state = _LfuState(requests, capacity, flags)
-    while state.at < requests.size and len(state) < capacity:  # the fill
-        state.scalar(min(state.at + _FIRST_WINDOW, requests.size))
-    resolve = state.windows
+    resolve = state.scalar
     while state.at < requests.size:
         start = state.at
         swaps, misses = resolve(min(start + _SPAN, requests.size))
-        # the span's cost per request, a miss costing two hits, against
-        # the cost of its swaps in windows
-        dense = swaps * _SWAP_COST > state.at - start + misses
+        # windows need a full cache; on one, the span's cost per request,
+        # a miss costing two hits, against the cost of its swaps in windows
+        dense = (len(state) < capacity
+                 or swaps * _SWAP_COST > state.at - start + misses)
         resolve = state.scalar if dense else state.windows
     return flags
 

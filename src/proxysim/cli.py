@@ -49,7 +49,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _commit(outputs: dict) -> None:
     """Write each path of ``outputs`` through its writer to a sibling temp
     file, then rename them all in order; if any step fails, remove every
-    temp file and every file already renamed, and re-raise."""
+    temp file and every file already renamed, and re-raise, an ``OSError``
+    as one that names the failed path, not its temp file."""
     staged = {path: f"{path}.tmp{os.getpid()}" for path in outputs}
     placed = []
     try:
@@ -58,10 +59,12 @@ def _commit(outputs: dict) -> None:
         for path, tmp in staged.items():
             os.replace(tmp, path)
             placed.append(path)
-    except BaseException:
+    except BaseException as exc:
         for name in [*placed, *staged.values()]:
             if os.path.exists(name):
                 os.unlink(name)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -113,7 +116,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         prog="proxysim",
         description="Trace-driven proxy cache simulation and closed-form "
                     "traffic estimation.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                required=True)
 
     gen = sub.add_parser(
         "gen", help="generate a request trace file",
@@ -370,9 +374,6 @@ def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return 2
         sub = subparsers[args.command]
         if args.config is not None:
             # file values become defaults, so the flags parsed again win

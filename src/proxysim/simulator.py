@@ -34,8 +34,9 @@ DEFAULT_ALPHAS = (0.98, 0.75, 0.64, 0.51, 0.41, 0.31)
 class SimConfig:
     """Inputs of one simulation run or sweep.
 
-    ``alpha`` and ``cache_capacity`` may be sequences, in which case the
-    config describes a sweep; :func:`run_simulation` requires scalars.
+    ``alpha`` and ``cache_capacity`` may each be a scalar or a sequence;
+    :func:`sweep` reads a scalar as a one-element list, and
+    :func:`run_simulation` requires scalars.
     The seed is mandatory: nothing in a run draws ambient randomness.
     """
 
@@ -68,11 +69,6 @@ class SimConfig:
     def capacities(self) -> tuple[int, ...]:
         c = self.cache_capacity
         return tuple(c) if isinstance(c, (tuple, list)) else (c,)
-
-    @property
-    def is_sweep(self) -> bool:
-        return (isinstance(self.alpha, (tuple, list))
-                or isinstance(self.cache_capacity, (tuple, list)))
 
 
 # eq=False: ndarray fields make a generated __eq__ ambiguous; compare
@@ -174,9 +170,10 @@ def _simulate_alpha(config: SimConfig) -> list[SimReport]:
 
 
 def run_simulation(config: SimConfig) -> SimReport:
-    """Run one seeded simulation described by a scalar config."""
-    if config.is_sweep:
-        raise ValueError("run_simulation needs scalar alpha and capacity; "
+    """Run one seeded simulation described by a scalar config; a list
+    alpha or capacity is a ``ValueError``."""
+    if isinstance(config.cache_capacity, (tuple, list)):
+        raise ValueError("run_simulation needs a scalar capacity; "
                          "use sweep() for lists")
     return _simulate_alpha(config)[0]
 
@@ -190,7 +187,8 @@ def _available_cpus() -> int:
 
 
 def sweep(config: SimConfig) -> list[SimReport]:
-    """Run the cross-product of the config's alpha and capacity lists.
+    """Run the cross-product of the config's alpha and capacity lists; a
+    scalar counts as a one-element list.
 
     Each alpha draws one workload from its own seed, child ``i`` of
     :func:`spawn_seeds` for the alpha at index ``i``, and replays it at
@@ -201,8 +199,6 @@ def sweep(config: SimConfig) -> list[SimReport]:
     lists and do not depend on the worker count. If an alpha raises,
     the pending ones are cancelled and its exception is re-raised here.
     """
-    if not config.is_sweep:
-        raise ValueError("sweep needs a list-valued alpha or cache_capacity")
     seeds = spawn_seeds(config.seed, len(config.alphas))
     tasks = [replace(config, alpha=alpha, seed=seed)
              for alpha, seed in zip(config.alphas, seeds)]

@@ -262,7 +262,7 @@ def test_brute_force_equivalence_random_traces():
 
 @pytest.mark.parametrize("width", [1, 7, 50])
 def test_lfu_replay_window_boundaries_match_reference(monkeypatch, width):
-    # LFU replay fills the cache a chunk at a time, then resolves
+    # LFU replay fills the cache a span at a time, then resolves
     # requests a window at a time and checks its swap rate once per span;
     # none of these boundaries may change a single flag
     monkeypatch.setattr(cache_module, "_FIRST_WINDOW", width)
@@ -311,7 +311,7 @@ def test_lfu_replay_matches_reference_property(ranks, capacity, width, span,
 def test_lfu_replay_switches_to_scalar_and_back(monkeypatch):
     # a swap every few requests is dense at any swap cost above a few
     # hits, so the replay resolves requests one at a time and, once a
-    # span of hits follows, goes back to windows; a short fill chunk
+    # span of hits follows, goes back to windows; a short fill span
     # leaves the dense requests to the full cache
     monkeypatch.setattr(cache_module, "_FIRST_WINDOW", 2)
     monkeypatch.setattr(cache_module, "_SPAN", 8)
@@ -337,11 +337,12 @@ def test_lfu_replay_edge_traces(ranks, capacity):
 
 
 def test_lfu_replay_windows_only_on_a_full_cache(monkeypatch):
-    # the fill crosses many chunks of _FIRST_WINDOW requests; windows
-    # assume S has capacity - 1 members, so none may start before that
+    # the fill crosses many spans of _SPAN requests; windows assume S has
+    # capacity - 1 members, so none may start before that, and a cache
+    # the trace never fills runs no window at all
     monkeypatch.setattr(cache_module, "_FIRST_WINDOW", 4)
     monkeypatch.setattr(cache_module, "_SPAN", 16)
-    fill_chunks = []
+    fill_chunks, windowed = [], set()
     for name in ("scalar", "windows"):
         method = getattr(cache_module._LfuState, name)
 
@@ -349,12 +350,17 @@ def test_lfu_replay_windows_only_on_a_full_cache(monkeypatch):
             if len(state) < state.capacity:
                 assert name == "scalar"
                 fill_chunks.append(end)
+            if name == "windows":
+                windowed.add(state.capacity)
             return method(state, end)
         monkeypatch.setattr(cache_module._LfuState, name, spy)
     ranks = generate_workload(build_catalog(100, 0.5), 2000, 2000,
                               seed=5).requests.tolist()
-    _assert_replay_matches("session_lfu", ReferenceCache, ranks, [1, 30, 60])
+    never_full = len(set(ranks)) + 1
+    _assert_replay_matches("session_lfu", ReferenceCache, ranks,
+                           [1, 30, 60, never_full])
     assert len(fill_chunks) > 5
+    assert windowed == {1, 30, 60}
 
 
 def test_cache_state_rejects_negative_ranks():
@@ -426,7 +432,12 @@ def test_lru_brute_force_equivalence_random_traces():
         capacity = int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         ranks = rng.integers(1, n + 1, size=int(rng.integers(1, 51))).tolist()
-        _assert_replay_matches("lru", ReferenceLru, ranks, [capacity, 1, n])
+        # scaled past 255 and 65,535, ranks need 16- and 32-bit sort keys,
+        # and a narrower key would map them all to 0
+        for scale in (1, 256, 65_536):
+            _assert_replay_matches("lru", ReferenceLru,
+                                   [rank * scale for rank in ranks],
+                                   [capacity, 1, n])
 
 
 # 200 and 1000 are at or above the number of distinct ranks, so nothing

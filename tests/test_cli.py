@@ -235,9 +235,22 @@ def test_failed_write_removes_every_output(tmp_path, capsys, monkeypatch,
     out_dir = tmp_path / "out"
     (out_dir / blocked).mkdir(parents=True)
     assert main([*argv, "--out-dir", str(out_dir)]) == 1
-    _assert_one_line_error(capsys, f"proxysim {argv[0]}: error: ")
+    err = _assert_one_line_error(capsys, f"proxysim {argv[0]}: error: ")
+    # the line names the output, not its temp file
+    assert str(out_dir / blocked) in err
+    assert ".tmp" not in err and " -> " not in err
     assert [p.name for p in out_dir.iterdir()] == [blocked]
     assert (out_dir / blocked).is_dir()
+
+
+def test_failed_write_names_the_output(tmp_path, capsys):
+    # the output's directory is missing, so its write fails, not a rename
+    out = tmp_path / "nodir" / "m.csv"
+    assert main(["estimate", "--objects", "10", "--alpha", "0.5",
+                 "--capacity", "2", "--seed", "1", "--out", str(out)]) == 1
+    _assert_one_line_error(capsys, "proxysim estimate: error: [Errno 2] "
+                           f"No such file or directory: '{out}'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_renames_after_every_write_and_manifest_last(tmp_path,
@@ -428,6 +441,7 @@ def _assert_one_line_error(capsys, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert message in err
+    return err
 
 
 def test_run_trace_rejects_loose_header(tmp_path, capsys):

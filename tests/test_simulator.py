@@ -9,8 +9,9 @@ from proxysim.analytics import top_c_mass
 from proxysim.popularity import build_catalog
 from proxysim.simulator import (DEFAULT_ALPHAS, SimConfig, compare_analytic,
                                 compare_run, fit_power_law, run_simulation,
-                                simulate_workload, sweep, write_comparison_csv,
-                                write_report_csv, write_summary_json)
+                                simulate_workload, spawn_seeds, sweep,
+                                write_comparison_csv, write_report_csv,
+                                write_summary_json)
 from proxysim.workload import (ObjectAttributes, Workload, assign_attributes,
                                generate_workload, rank_histogram)
 
@@ -327,14 +328,22 @@ def test_config_validation():
 
 
 def test_scalar_sweep_routing():
+    # a scalar alpha and capacity are a one-point sweep, drawn at child 0
     scalar = _config(total_requests=500)
-    with pytest.raises(ValueError):
-        sweep(scalar)
+    report, = sweep(scalar)
+    point, = sweep(_config(alpha=(0.75,), cache_capacity=(20,),
+                           total_requests=500))
+    for name in ("requests", "hits", "misses", "imported_bandwidth"):
+        assert np.array_equal(getattr(report, name), getattr(point, name))
+    assert report.config == point.config
+    assert report.config["seed"] == spawn_seeds(scalar.seed, 1)[0]
     listed = _config(alpha=(0.5, 0.9), total_requests=500)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scalar alpha"):
         run_simulation(listed)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scalar alpha"):
         compare_analytic(listed)
+    with pytest.raises(ValueError, match="scalar capacity"):
+        run_simulation(_config(cache_capacity=(5, 10), total_requests=500))
 
 
 def test_report_csv_format(tmp_path):
