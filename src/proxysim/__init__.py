@@ -5,9 +5,9 @@ from .analytics import (BandwidthParams, ModelReport, aggregate_bandwidth,
                         miss_probability, model_report, top_c_mass,
                         top_c_mass_asymptotic)
 from .cache import POLICIES, CacheState
-from .popularity import (ComplexExponent, ZipfCatalog, build_catalog,
-                         generalized_harmonic, power_modulus, probability,
-                         sample_ranks, zeta_partial_terms)
+from .popularity import (ZipfCatalog, build_catalog, generalized_harmonic,
+                         power_modulus, probability, sample_ranks,
+                         zeta_partial_terms)
 from .simulator import (DEFAULT_ALPHAS, CapacityComparison, SimConfig,
                         SimReport, compare_analytic, fit_power_law,
                         run_simulation, simulate_workload, sweep)
@@ -18,9 +18,9 @@ from .workload import (ObjectAttributes, TraceParseError, Workload,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandwidthParams", "CacheState", "CapacityComparison", "ComplexExponent",
-    "DEFAULT_ALPHAS", "ModelReport", "ObjectAttributes", "POLICIES",
-    "SimConfig", "SimReport", "TraceParseError", "Workload", "ZipfCatalog",
+    "BandwidthParams", "CacheState", "CapacityComparison", "DEFAULT_ALPHAS",
+    "ModelReport", "ObjectAttributes", "POLICIES", "SimConfig", "SimReport",
+    "TraceParseError", "Workload", "ZipfCatalog",
     "aggregate_bandwidth", "assign_attributes", "bandwidth_per_rank",
     "build_catalog", "compare_analytic", "fit_power_law",
     "generalized_harmonic", "generate_workload", "hit_miss_on_demand",

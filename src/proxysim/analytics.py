@@ -17,7 +17,7 @@ import numpy as np
 from .popularity import ZipfCatalog, check_rank
 from .workload import ObjectAttributes
 
-ASYMPTOTIC_MODES = ("paper_literal", "corrected")
+ASYMPTOTIC_MODES = ("paper", "corrected")
 RATE_CONVENTIONS = ("product", "ratio")
 
 
@@ -131,7 +131,7 @@ def top_c_mass(catalog: ZipfCatalog, c: int) -> float:
 def top_c_mass_asymptotic(catalog: ZipfCatalog, c: int, mode: str) -> float:
     """Closed-form approximation of :func:`top_c_mass`.
 
-    ``paper_literal`` returns ``alpha * c**(1 - alpha)``, an
+    ``paper`` returns the paper's ``alpha * c**(1 - alpha)``, an
     unnormalized form that can exceed 1. ``corrected`` integrates the
     normalized mass across the top ``c`` ranks, using the midpoint
     continuity correction so the approximation stays within a few
@@ -151,7 +151,7 @@ def top_c_mass_asymptotic(catalog: ZipfCatalog, c: int, mode: str) -> float:
     alpha = catalog.alpha
     if alpha == 1.0:
         raise ValueError("asymptotic mass is singular at alpha = 1")
-    if mode == "paper_literal":
+    if mode == "paper":
         return alpha * c ** (1.0 - alpha)
     e = 1.0 - alpha
     try:

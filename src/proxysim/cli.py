@@ -8,8 +8,9 @@ import sys
 
 import numpy as np
 
-from .analytics import (RATE_CONVENTIONS, BandwidthParams, model_report,
-                        top_c_mass_asymptotic, write_model_report_csv)
+from .analytics import (ASYMPTOTIC_MODES, RATE_CONVENTIONS, BandwidthParams,
+                        model_report, top_c_mass_asymptotic,
+                        write_model_report_csv)
 from .cache import POLICIES
 from .popularity import build_catalog
 from .simulator import (DEFAULT_ALPHAS, SimConfig, compare_run,
@@ -20,7 +21,6 @@ from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
                        DEFAULT_TIME_RANGE, assign_attributes, generate_workload,
                        load_trace, save_trace)
 
-ESTIMATE_MODES = ("exact", "paper", "corrected")
 # spellings a config file may give a boolean flag
 _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
@@ -82,6 +82,18 @@ _SHARED_FLAGS = {
     "seed": dict(type=int, help="rng seed (required)"),
     "out-dir": dict(help="output directory"),
     "config": dict(help="key=value defaults file"),
+    # object attribute ranges and bandwidth parameters
+    "sizes": dict(type=_float_pair, default=DEFAULT_SIZE_RANGE,
+                  metavar="LO,HI",
+                  help="object size range in kb (default 1,15)"),
+    "times": dict(type=_float_pair, default=DEFAULT_TIME_RANGE,
+                  metavar="LO,HI",
+                  help="channel access time range in ms (default 1,10)"),
+    "k": dict(type=float, default=1.0,
+              help="packet-loss threshold factor in [0,1] (default 1)"),
+    "rate": dict(choices=RATE_CONVENTIONS, default="product",
+                 help="per-rank rate: size*time (kb*ms) or size/time "
+                      "(kb/ms) (default product)"),
 }
 
 
@@ -92,21 +104,6 @@ def _add_shared_flags(p: argparse.ArgumentParser, *names: str,
     for name in names:
         p.add_argument(f"--{name}",
                        **{**_SHARED_FLAGS[name], **overrides.get(name, {})})
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    """Object attribute ranges and bandwidth parameters."""
-    p.add_argument("--sizes", type=_float_pair, default=DEFAULT_SIZE_RANGE,
-                   metavar="LO,HI",
-                   help="object size range in kb (default 1,15)")
-    p.add_argument("--times", type=_float_pair, default=DEFAULT_TIME_RANGE,
-                   metavar="LO,HI",
-                   help="channel access time range in ms (default 1,10)")
-    p.add_argument("--k", type=float, default=1.0,
-                   help="packet-loss threshold factor in [0,1] (default 1)")
-    p.add_argument("--rate", choices=RATE_CONVENTIONS, default="product",
-                   help="per-rank rate: size*time (kb*ms) or size/time "
-                        "(kb/ms) (default product)")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser,
@@ -136,7 +133,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     run.add_argument("--compare", action="store_true",
                      help="also write comparison.csv against the analytic "
                           "model")
-    _add_model_flags(run)
+    _add_shared_flags(run, "sizes", "times", "k", "rate")
 
     swp = sub.add_parser(
         "sweep", help="run an alpha/capacity sweep",
@@ -155,9 +152,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     swp.add_argument("--capacities", type=_int_list, default=(100,),
                      metavar="C1,C2,...",
                      help="comma list of cache capacities (default 100)")
-    _add_shared_flags(swp, "session", "policy", "seed", "out-dir",
+    _add_shared_flags(swp, "session", "policy", "seed", "out-dir", "sizes",
+                      "times", "k", "rate",
                       seed=dict(help="base rng seed (required)"))
-    _add_model_flags(swp)
 
     est = sub.add_parser(
         "estimate", help="closed-form model report, no simulation",
@@ -168,12 +165,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         requests=dict(default=1000000,
                       help="request count R for miss probabilities "
                            "(default 1000000)"))
-    est.add_argument("--mode", choices=ESTIMATE_MODES, default="exact",
+    est.add_argument("--mode", choices=("exact", *ASYMPTOTIC_MODES),
+                     default="exact",
                      help="top-C mass to report: exact partial sum or a "
                           "closed-form approximation (default exact)")
     _add_shared_flags(est, "seed")
     est.add_argument("--out", help="model report CSV path")
-    _add_model_flags(est)
+    _add_shared_flags(est, "sizes", "times", "k", "rate")
 
     for p in sub.choices.values():
         _add_shared_flags(p, "config")
@@ -336,7 +334,8 @@ def cmd_sweep(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     outputs[os.path.join(args.out_dir, "manifest.json")] = (
         lambda p: write_json(manifest, p))
     _commit(outputs)
-    print(f"wrote {len(reports)} reports and manifest.json to {args.out_dir}")
+    noun = "report" if len(reports) == 1 else "reports"
+    print(f"wrote {len(reports)} {noun} and manifest.json to {args.out_dir}")
     return 0
 
 
@@ -348,11 +347,8 @@ def cmd_estimate(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _, attr_seed = spawn_seeds(args.seed, 2)
     attrs = assign_attributes(args.objects, args.sizes, args.times, attr_seed)
     report = model_report(catalog, attrs, params, args.requests)
-    if args.mode == "exact":
-        mass = report.top_c_mass
-    else:
-        variant = "paper_literal" if args.mode == "paper" else "corrected"
-        mass = top_c_mass_asymptotic(catalog, args.capacity, variant)
+    mass = (report.top_c_mass if args.mode == "exact" else
+            top_c_mass_asymptotic(catalog, args.capacity, args.mode))
     _commit({args.out: lambda p: write_model_report_csv(report, catalog, p)})
     print(f"aggregate_bandwidth={report.aggregate_bandwidth:.6e} "
           f"top_c_mass_{args.mode}={mass:.6e}")

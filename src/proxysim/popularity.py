@@ -41,30 +41,6 @@ class ZipfCatalog:
     probabilities: np.ndarray
 
 
-@dataclass(frozen=True)
-class ComplexExponent:
-    """Exponent ``s = sigma + i*beta`` for the power-series tail bounds.
-
-    Consumers require ``sigma > 0``; construction only insists both parts
-    are finite so the rejection happens where the contract names it.
-    """
-
-    sigma: float
-    beta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and math.isfinite(self.beta)):
-            raise ValueError("exponent parts must be finite")
-
-    @property
-    def modulus(self) -> float:
-        return math.hypot(self.sigma, self.beta)
-
-    @property
-    def value(self) -> complex:
-        return complex(self.sigma, self.beta)
-
-
 def generalized_harmonic(n: int, alpha: float) -> float:
     """Partial sum ``sum(i**-alpha for i in 1..n)``.
 
@@ -198,19 +174,21 @@ def sample_ranks(
     return out
 
 
-def power_modulus(n: int, s: ComplexExponent) -> float:
-    """Modulus ``|n**-s| = n**-sigma``.
+def power_modulus(n: int, s: complex) -> float:
+    """Modulus ``|n**-s| = n**-sigma`` of an exponent ``s = sigma + i*beta``.
 
     The oscillatory factor ``exp(-i*beta*log(n))`` has modulus 1, so the
-    result depends on ``s.sigma`` alone.
+    result depends on ``s.real`` alone.
     """
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError("exponent parts must be finite")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return float(n) ** -s.sigma
+    return float(n) ** -s.real
 
 
 def zeta_partial_terms(
-    s: ComplexExponent, n_terms: int
+    s: complex, n_terms: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tail terms ``a_n = n**-s - integral(x**-s, n, n+1)`` with bounds.
 
@@ -221,8 +199,9 @@ def zeta_partial_terms(
 
     Parameters
     ----------
-    s : ComplexExponent
-        Exponent with ``sigma > 0``.
+    s : complex
+        Exponent ``sigma + i*beta`` with ``sigma > 0``; an int or a float
+        is a real exponent.
     n_terms : int
         Number of leading terms to produce, at least 1.
 
@@ -236,19 +215,23 @@ def zeta_partial_terms(
     Raises
     ------
     ValueError
-        If ``s.sigma <= 0`` or ``n_terms < 1``.
+        If a part of ``s`` is not finite, ``s.real <= 0`` or
+        ``n_terms < 1``.
     """
-    if s.sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {s.sigma}")
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError("exponent parts must be finite")
+    if s.real <= 0:
+        raise ValueError(f"sigma must be > 0, got {s.real}")
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     n = np.arange(1, n_terms + 1, dtype=np.float64)
-    sc = s.value
-    direct = np.power(n.astype(np.complex128), -sc)
-    if sc == 1:
+    direct = np.power(n.astype(np.complex128), -s)
+    if s == 1:
         integral = np.log((n + 1) / n).astype(np.complex128)
     else:
-        integral = (np.power((n + 1).astype(np.complex128), 1 - sc)
-                    - np.power(n.astype(np.complex128), 1 - sc)) / (1 - sc)
-    bounds = s.modulus * np.power(n, -1.0 - s.sigma)
+        integral = (np.power((n + 1).astype(np.complex128), 1 - s)
+                    - np.power(n.astype(np.complex128), 1 - s)) / (1 - s)
+    # math.hypot and abs(complex) may round apart in the last bit; the
+    # bounds keep hypot's
+    bounds = math.hypot(s.real, s.imag) * np.power(n, -1.0 - s.real)
     return direct - integral, bounds

@@ -16,8 +16,7 @@ from scipy import stats
 from proxysim.analytics import top_c_mass
 from proxysim.cache import CacheState, replay
 from proxysim.cli import main as cli_main
-from proxysim.popularity import (ComplexExponent, build_catalog,
-                                 zeta_partial_terms)
+from proxysim.popularity import build_catalog, zeta_partial_terms
 from proxysim.simulator import (SimConfig, fit_power_law, run_simulation,
                                 sweep, write_report_csv, write_summary_json)
 from proxysim.workload import assign_attributes, generate_workload, rank_histogram
@@ -161,11 +160,11 @@ def test_criterion_6_long_tail_shapes():
 def test_criterion_7_lemma_numerics():
     worst = 0.0
     for sigma in (0.31, 0.51, 0.75, 0.98, 1.5, 2.0):
-        values, bounds = zeta_partial_terms(ComplexExponent(sigma), 10000)
+        values, bounds = zeta_partial_terms(sigma, 10000)
         if not np.all(np.abs(values) <= bounds):
             _verdict(7, False, f"bound violated at sigma={sigma}")
         worst = max(worst, float((np.abs(values) / bounds).max()))
-    partial = zeta_partial_terms(ComplexExponent(2.0), 2000)[0].sum().real
+    partial = zeta_partial_terms(2.0, 2000)[0].sum().real
     err = abs(partial - ZETA2_MINUS_ONE)
     ok = err < 1e-3
     _verdict(7, ok, f"|a_n| <= |s|*n^(-1-sigma) exact for 6 exponents, "

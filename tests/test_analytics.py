@@ -72,7 +72,7 @@ def test_top_c_mass_hand_values():
 
 def test_asymptotic_paper_literal_hand_value():
     cat = build_catalog(100, 0.5)
-    value = top_c_mass_asymptotic(cat, 4, "paper_literal")
+    value = top_c_mass_asymptotic(cat, 4, "paper")
     assert value == pytest.approx(0.5 * 4.0 ** 0.5, rel=1e-13)
     assert value == pytest.approx(1.0, rel=1e-13)  # exceeds any true mass
 
@@ -104,7 +104,7 @@ def test_asymptotic_corrected_c1_compared_not_asserted():
 
 def test_asymptotic_singular_at_alpha_one():
     cat = build_catalog(50, 1.0)
-    for mode in ("paper_literal", "corrected"):
+    for mode in ("paper", "corrected"):
         with pytest.raises(ValueError):
             top_c_mass_asymptotic(cat, 10, mode)
     with pytest.raises(ValueError):
@@ -212,8 +212,7 @@ def test_asymptotic_corrected_overflow_is_value_error():
     # 0.5**(1 - alpha) is past the float range for large alpha
     with pytest.raises(ValueError, match="corrected mass overflows"):
         top_c_mass_asymptotic(build_catalog(10, 2000.0), 3, "corrected")
-    assert top_c_mass_asymptotic(build_catalog(10, 2000.0), 3,
-                                 "paper_literal") == 0.0
+    assert top_c_mass_asymptotic(build_catalog(10, 2000.0), 3, "paper") == 0.0
 
 
 def test_model_report_csv_format(tmp_path):

@@ -153,6 +153,16 @@ def test_sweep_explicit_alphas(tmp_path):
         assert (out_dir / entry["summary_json"]).exists()
 
 
+def test_sweep_counts_its_reports(tmp_path, capsys):
+    for alphas, count in (("0.7", "1 report"), ("0.7,0.5", "2 reports")):
+        out_dir = tmp_path / f"a{alphas}"
+        assert main(["sweep", "--objects", "40", "--requests", "400",
+                     "--alphas", alphas, "--capacities", "4", "--seed", "3",
+                     "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {count} and manifest.json to {out_dir}\n")
+
+
 def test_sweep_default_alphas_grid(tmp_path):
     out_dir = tmp_path / "swp"
     assert main(["sweep", "--objects", "60", "--requests", "300",
@@ -242,6 +252,26 @@ def test_failed_write_removes_every_output(tmp_path, capsys, monkeypatch,
     assert [p.name for p in out_dir.iterdir()] == [blocked]
     assert (out_dir / blocked).is_dir()
 
+    # a writer that fails with an error other than OSError leaves nothing
+    # either, and its own message is the error line
+    def failing(writer):
+        def write(data, path):
+            if os.path.basename(path).startswith(f"{blocked}.tmp"):
+                with open(path, "w") as f:
+                    f.write("partial")
+                raise ValueError(f"cannot encode {blocked}")
+            return writer(data, path)
+        return write
+
+    for name in ("write_report_csv", "write_summary_json",
+                 "write_comparison_csv", "write_json"):
+        monkeypatch.setattr(cli, name, failing(getattr(cli, name)))
+    out_dir = tmp_path / "raised"
+    assert main([*argv, "--out-dir", str(out_dir)]) == 1
+    _assert_one_line_error(
+        capsys, f"proxysim {argv[0]}: error: cannot encode {blocked}\n")
+    assert list(out_dir.iterdir()) == []
+
 
 def test_failed_write_names_the_output(tmp_path, capsys):
     # the output's directory is missing, so its write fails, not a rename
@@ -307,6 +337,15 @@ def test_estimate_paper_mode_singular_alpha(tmp_path, capsys):
     assert rc == 1
     assert "singular" in capsys.readouterr().err
     assert not out.exists()  # failed command leaves no partial file
+
+
+def test_estimate_rejects_negative_requests(tmp_path, capsys):
+    out = tmp_path / "model.csv"
+    assert main(["estimate", "--objects", "100", "--alpha", "0.7",
+                 "--capacity", "10", "--requests", "-1", "--seed", "4",
+                 "--out", str(out)]) == 1
+    _assert_one_line_error(capsys, "r_requests must be >= 0, got -1")
+    assert not out.exists()
 
 
 def test_estimate_corrected_mode(tmp_path, capsys):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from proxysim.popularity import (ComplexExponent, ZipfCatalog,
-                                 build_catalog, generalized_harmonic,
-                                 power_modulus, probability, sample_ranks,
+from proxysim.popularity import (ZipfCatalog, build_catalog,
+                                 generalized_harmonic, power_modulus,
+                                 probability, sample_ranks,
                                  zeta_partial_terms)
 
 EULER_GAMMA = 0.5772156649015329
@@ -208,26 +208,25 @@ def test_sampler_chi_square_goodness_of_fit():
 
 
 def test_power_modulus_hand_values():
-    assert power_modulus(4, ComplexExponent(0.5, 10.0)) == pytest.approx(
+    assert power_modulus(4, complex(0.5, 10.0)) == pytest.approx(
         0.5, rel=1e-14)
-    assert power_modulus(9, ComplexExponent(0.5)) == pytest.approx(
-        1.0 / 3.0, rel=1e-14)
-    for s in (ComplexExponent(0.5), ComplexExponent(2.0, -3.0)):
+    assert power_modulus(9, 0.5) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    for s in (0.5, complex(2.0, -3.0)):
         assert power_modulus(1, s) == 1.0
 
 
 def test_power_modulus_independent_of_beta():
     for n in (1, 2, 7, 100, 9999):
         for sigma in (0.31, 0.5, 1.0, 2.0):
-            base = power_modulus(n, ComplexExponent(sigma, 0.0))
+            base = power_modulus(n, complex(sigma, 0.0))
             for beta in (-50.0, -1.0, 0.25, 3.0, 1000.0):
-                assert power_modulus(n, ComplexExponent(sigma, beta)) == base
+                assert power_modulus(n, complex(sigma, beta)) == base
             assert base == pytest.approx(float(n) ** -sigma, rel=1e-14)
 
 
 def test_zeta_first_term_hand_value():
     # a_1 = 1 - integral_1^2 x^-2 dx = 1 - 1/2
-    values, bounds = zeta_partial_terms(ComplexExponent(2.0), 1)
+    values, bounds = zeta_partial_terms(2.0, 1)
     assert values[0].real == pytest.approx(0.5, rel=1e-14)
     assert values[0].imag == 0.0
     assert bounds[0] == pytest.approx(2.0, rel=1e-14)
@@ -235,21 +234,20 @@ def test_zeta_first_term_hand_value():
 
 
 def test_zeta_partial_sum_matches_zeta2():
-    values, _ = zeta_partial_terms(ComplexExponent(2.0), 2000)
+    values, _ = zeta_partial_terms(2.0, 2000)
     assert abs(values.sum().real - ZETA2_MINUS_ONE) < 1e-3
     assert abs(values.sum().imag) == 0.0
 
 
 def test_zeta_log_branch_recovers_euler_gamma():
     # at s = 1 the terms are 1/n - log((n+1)/n); their sum tends to gamma
-    values, _ = zeta_partial_terms(ComplexExponent(1.0), 2000)
+    values, _ = zeta_partial_terms(1.0, 2000)
     assert abs(values.sum().real - EULER_GAMMA) < 1e-3
 
 
 def test_zeta_bound_holds_exactly_real_exponents():
     for sigma in (0.31, 0.5, 0.51, 0.75, 0.98, 1.0, 1.5, 2.0):
-        s = ComplexExponent(sigma)
-        values, bounds = zeta_partial_terms(s, 10000)
+        values, bounds = zeta_partial_terms(sigma, 10000)
         assert np.all(np.abs(values) <= bounds)
         n = np.arange(1, 10001, dtype=np.float64)
         assert np.allclose(bounds, sigma * n ** (-1.0 - sigma),
@@ -258,7 +256,7 @@ def test_zeta_bound_holds_exactly_real_exponents():
 
 def test_zeta_bound_holds_for_complex_exponents():
     for sigma, beta in ((0.5, 10.0), (1.0, 1.0), (2.0, -4.0), (0.31, 0.5)):
-        s = ComplexExponent(sigma, beta)
+        s = complex(sigma, beta)
         values, bounds = zeta_partial_terms(s, 2000)
         assert np.all(np.abs(values) <= bounds)
         assert bounds[0] == pytest.approx(math.hypot(sigma, beta), rel=1e-13)
@@ -266,7 +264,7 @@ def test_zeta_bound_holds_for_complex_exponents():
 
 def test_zeta_partial_sums_converge():
     # successive partial sums form a Cauchy sequence under the bound
-    values, bounds = zeta_partial_terms(ComplexExponent(0.5), 10000)
+    values, bounds = zeta_partial_terms(0.5, 10000)
     tail = np.abs(values)[5000:].sum()
     assert tail <= bounds[5000:].sum()
     assert bounds[5000:].sum() < 0.015
@@ -274,10 +272,16 @@ def test_zeta_partial_sums_converge():
 
 def test_zeta_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        zeta_partial_terms(ComplexExponent(0.0), 10)
+        zeta_partial_terms(0.0, 10)
     with pytest.raises(ValueError):
-        zeta_partial_terms(ComplexExponent(-1.0, 2.0), 10)
+        zeta_partial_terms(complex(-1.0, 2.0), 10)
     with pytest.raises(ValueError):
-        zeta_partial_terms(ComplexExponent(2.0), 0)
-    with pytest.raises(ValueError):
-        ComplexExponent(float("nan"), 0.0)
+        zeta_partial_terms(2.0, 0)
+    nan, inf = float("nan"), float("inf")
+    for s in (nan, -inf, complex(2.0, nan), complex(inf, 1.0)):
+        with pytest.raises(ValueError, match="exponent parts must be finite"):
+            zeta_partial_terms(s, 10)
+        with pytest.raises(ValueError, match="exponent parts must be finite"):
+            power_modulus(4, s)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        power_modulus(0, 2.0)

@@ -6,10 +6,12 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import proxysim
 from proxysim.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +47,16 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_process_pool():
     # only sweep() needs worker processes; it imports them when it runs
     assert _modules_after_cli_import("concurrent", "multiprocessing") == "[]"
+
+
+def test_package_exports_match_all():
+    # __all__ and the names the package binds are one list: each entry
+    # resolves, and each public name bound is listed
+    assert all(hasattr(proxysim, name) for name in proxysim.__all__)
+    bound = {name for name, value in vars(proxysim).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert bound == set(proxysim.__all__)
 
 
 def test_demo_imports_exist():

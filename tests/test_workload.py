@@ -75,6 +75,8 @@ def test_attributes_deterministic():
 
 
 def test_attributes_reject_bad_ranges():
+    with pytest.raises(ValueError, match="n_objects must be >= 1, got 0"):
+        assign_attributes(0)
     with pytest.raises(ValueError):
         assign_attributes(5, (0.0, 15.0), (1.0, 10.0), seed=1)
     with pytest.raises(ValueError):
@@ -185,6 +187,11 @@ def test_trace_empty_or_headerless_rejected(tmp_path):
     header_only.write_text("#n_objects=3 session=2\n")
     with pytest.raises(TraceParseError):
         load_trace(str(header_only))
+    for header in ("#n_objects=0 session=2", "#n_objects=3 session=0"):
+        header_only.write_text(header + "\n1\n")
+        with pytest.raises(TraceParseError,
+                           match="line 1: non-positive header fields"):
+            load_trace(str(header_only))
 
 
 def test_trace_header_fields_read_like_rank_lines(tmp_path):
