@@ -7,7 +7,6 @@ accounting. Traces round-trip through a one-rank-per-line text format.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -19,14 +18,18 @@ from .popularity import ZipfCatalog, sample_ranks
 DEFAULT_SIZE_RANGE = (1.0, 15.0)   # kilobits
 DEFAULT_TIME_RANGE = (1.0, 10.0)   # milliseconds
 DEFAULT_SESSION_SIZE = 1000
-_TRACE_CHUNK = 1 << 16   # ranks formatted per write in save_trace
-# the ASCII whitespace str.strip() drops; \d in bytes is ASCII only
-_WS = rb" \t\r\x0b\x0c\x1c-\x1f"
-_W = rb"[%s]*" % _WS
-_NOT_RANK_LINE = re.compile(rb"^(?!%s(\d+%s)?$).*" % (_W, _W), re.M)
+_TRACE_CHUNK = 1 << 16   # ranks per digit matrix and write in save_trace
+# the ASCII whitespace str.strip() drops
+_WS = b" \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
-_HEADER_WORD = re.compile(rb"[^%s]+" % _WS)
+_HEADER_WORD = re.compile(rb"[^%s]+" % re.escape(_WS))
 _HEADER_FIELDS = re.compile(rb"n_objects=(\d+) session=(\d+)")
+# the class of each body byte, a bytes.translate table; other is highest
+_SPACE, _DIGIT, _NEWLINE, _OTHER = range(4)
+_BYTE_CLASS = bytes(_SPACE if byte in _WS else
+                    _DIGIT if byte in b"0123456789" else
+                    _NEWLINE if byte == ord("\n") else _OTHER
+                    for byte in range(256))
 
 
 class TraceParseError(ValueError):
@@ -120,18 +123,50 @@ def rank_histogram(workload: Workload) -> np.ndarray:
 
 
 def save_trace(workload: Workload, path: str) -> None:
-    """Write a workload as a header line plus one rank per line."""
-    with open(path, "w") as f:
-        f.write(f"#n_objects={workload.n_objects} "
-                f"session={workload.session_size}\n")
-        # whole-array tolist() is faster than str() per numpy scalar but
-        # would hold every rank as a Python int and str at once; chunks
-        # keep the speed with bounded memory
-        requests = workload.requests
+    """Write a workload as a header line plus one rank per line.
+
+    Raises ``ValueError``, before the file is opened, if the requests
+    are not ints or one is not a rank in ``1..n_objects``, which
+    :func:`load_trace` would refuse.
+    """
+    requests, n_objects = workload.requests, workload.n_objects
+    if requests.dtype.kind not in "iu":
+        raise ValueError(f"requests must be ints, got {requests.dtype}")
+    i = _first_outside(requests, n_objects)
+    if i is not None:
+        raise ValueError(f"requests[{i}] is {requests[i]}, "
+                         f"not a rank in 1..{n_objects}")
+    with open(path, "wb") as f:
+        f.write(f"#n_objects={n_objects} "
+                f"session={workload.session_size}\n".encode())
         for start in range(0, requests.size, _TRACE_CHUNK):
-            chunk = requests[start:start + _TRACE_CHUNK].tolist()
-            f.write("\n".join(map(str, chunk)))
-            f.write("\n")
+            f.write(_rank_lines(requests[start:start + _TRACE_CHUNK]))
+
+
+def _first_outside(requests: np.ndarray, n_objects: int) -> int | None:
+    """The index of the first request not in ``1..n_objects``, or None."""
+    if not requests.size or (requests.min() >= 1
+                             and requests.max() <= n_objects):
+        return None
+    return int(np.flatnonzero((requests < 1) | (requests > n_objects))[0])
+
+
+def _rank_lines(ranks: np.ndarray) -> bytes:
+    r"""``b"%d\n"`` of each positive rank, joined."""
+    top = int(ranks.max())
+    width = len(str(top))
+    value = ranks.astype(np.min_scalar_type(top))
+    # row i holds rank i's digits right-aligned, then \n; keep drops the
+    # places left of its leading digit
+    lines = np.empty((ranks.size, width + 1), dtype=np.uint8)
+    keep = np.ones(lines.shape, dtype=bool)
+    lines[:, width] = ord("\n")
+    for place in range(width - 1, -1, -1):
+        lines[:, place] = value % 10 + ord("0")
+        value //= 10
+        if place:
+            keep[:, place - 1] = value > 0
+    return lines[keep].tobytes()
 
 
 def load_trace(path: str) -> Workload:
@@ -148,10 +183,10 @@ def load_trace(path: str) -> Workload:
     this, and on an empty file, a bad header or a body with no ranks.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    if not data:
+        # no name keeps the whole file, so the body is its one copy
+        header, newline, body = f.read().partition(b"\n")
+    if not (header or newline):
         raise TraceParseError(f"{path}: empty trace file")
-    header, _, body = data.partition(b"\n")
     header = header.removesuffix(b"\r")
     if not header.startswith(b"#"):
         raise TraceParseError(f"{path}: line 1: missing #n_objects header")
@@ -169,24 +204,61 @@ def load_trace(path: str) -> Workload:
     if n_objects < 1 or session_size < 1:
         raise TraceParseError(f"{path}: line 1: non-positive header fields")
 
-    bad = _NOT_RANK_LINE.search(body)
+    tokens, bad = _scan_body(body)
     # numpy takes \x1c-\x1f for data, and reads whitespace alone as [0]
-    text = body[:len(body) if bad is None else bad.start()].translate(_SPACES)
+    end = len(body) if bad is None else _line_start(body, bad)
+    text = body[:end].translate(_SPACES)
     requests = (np.empty(0, dtype=np.int64) if text.isspace() else
                 np.fromstring(text, dtype=np.int64, sep=" "))
     # a rank too long for int64 is read as its maximum, so it fails here
-    outside = np.flatnonzero((requests < 1) | (requests > n_objects))
-    if outside.size:
-        # a good line holds one rank or no digit: rank k is on digit line k
-        bad = next(itertools.islice(re.finditer(rb"^.*\d.*$", body, re.M),
-                                    outside[0], None))
+    k = _first_outside(requests, n_objects)
+    if k is not None:
+        # a line before the bad one holds one digit run or none, so rank k
+        # is run token k, and the \n tokens before it count its line
+        bad = int(np.flatnonzero(tokens)[k]) - k
     if bad is not None:
-        lineno = body.count(b"\n", 0, bad.start()) + 2
-        line = bad.group().decode("utf-8", "replace")
-        raise TraceParseError(f"{path}: line {lineno}: not a rank in "
-                              f"1..{n_objects}: {line!r}")
+        line = body[_line_start(body, bad):].partition(b"\n")[0]
+        shown = line.decode("utf-8", "replace")
+        raise TraceParseError(f"{path}: line {bad + 2}: not a rank in "
+                              f"1..{n_objects}: {shown!r}")
     if not requests.size:
         raise TraceParseError(f"{path}: no requests in trace")
 
     return Workload(requests=requests, session_size=session_size,
                     n_objects=n_objects)
+
+
+def _scan_body(body: bytes) -> tuple[np.ndarray, int | None]:
+    r"""Check a trace body's lines against :func:`load_trace`'s grammar.
+
+    Returns the body's digit runs and ``\n`` bytes in order, as True for
+    a run and False for a ``\n``, and the index from 0 of the first line
+    that holds a byte of class other or two digit runs, or None.
+    """
+    cls = np.frombuffer(body.translate(_BYTE_CLASS), dtype=np.uint8)
+    bad = []
+    if cls.max(initial=_SPACE) == _OTHER:
+        bad.append(body.count(b"\n", 0, int(cls.argmax())))
+    # a digit after a byte that is not one starts a run
+    digit = cls == _DIGIT
+    run = np.empty_like(digit)
+    run[:1] = digit[:1]
+    np.greater(digit[1:], digit[:-1], out=run[1:])
+    # at most three body-sized arrays at once: the \n mask reuses digit's
+    token = np.equal(cls, _NEWLINE, out=digit)
+    del cls
+    token |= run
+    tokens = run[token]
+    twice = tokens[1:] & tokens[:-1]   # two runs with no \n between
+    if twice.any():
+        j = int(twice.argmax()) + 1
+        bad.append(j - int(np.count_nonzero(tokens[:j])))
+    return tokens, min(bad, default=None)
+
+
+def _line_start(body: bytes, index: int) -> int:
+    """The offset of line ``index``, from 0, in ``body``."""
+    if not index:
+        return 0
+    newlines = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
+    return int(newlines[index - 1]) + 1

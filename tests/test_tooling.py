@@ -102,11 +102,15 @@ def test_benchmark_tracer_records_layer_spans(tmp_path):
              f"{name}.json", "--", *argv],
             cwd=tmp_path, env=_src_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        spans[name] = {s["name"] for s in json.loads(
+        spans[name] = {s["name"]: s for s in json.loads(
             (tmp_path / f"{name}.json").read_text())}
     assert {"simulator.simulate_workload.lru",
-            "workload.load_trace"} <= spans["trace"]
+            "workload.load_trace"} <= spans["trace"].keys()
     assert "simulator.simulate_workload.session_lfu" in spans["compare"]
+    # the tracer counts trace bytes from an argument named path
+    size = (tmp_path / "t.trace").stat().st_size
+    assert spans["gen"]["workload.save_trace"]["counts"] == {"bytes": size}
+    assert spans["trace"]["workload.load_trace"]["counts"] == {"bytes": size}
 
 
 _POLICIES = ("session_lfu", "lru", "lfu_classic")

@@ -4,13 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxysim.popularity import build_catalog
-from proxysim.workload import (TraceParseError, Workload, assign_attributes,
-                               generate_workload, load_trace, rank_histogram,
-                               save_trace)
+from proxysim.workload import (_TRACE_CHUNK, TraceParseError, Workload,
+                               assign_attributes, generate_workload,
+                               load_trace, rank_histogram, save_trace)
 
 
 def test_single_object_workload_shape():
@@ -167,6 +167,26 @@ def test_trace_malformed_rank_names_line_number(tmp_path):
         load_trace(str(path))
 
 
+@pytest.mark.parametrize("body, n_objects, lineno, line", [
+    # a digit run at the first body byte
+    (b"12 3\n1\n", 20, 2, "12 3"),
+    (b"0\n1\n", 20, 2, "0"),
+    # a bad byte on an unterminated last line
+    (b"1\n2\n3x", 20, 4, "3x"),
+    # a rank out of range after a blank and a whitespace-only line
+    (b"1\n\n \t\n 9\r\n2\n", 3, 5, " 9\r"),
+], ids=["two-runs-at-first-byte", "zero-at-first-byte",
+        "unterminated-last-line", "after-blank-lines"])
+def test_trace_error_names_line_and_text(tmp_path, body, n_objects, lineno,
+                                         line):
+    path = tmp_path / "bad.trace"
+    path.write_bytes(b"#n_objects=%d session=2\n" % n_objects + body)
+    with pytest.raises(TraceParseError, match="^" + re.escape(
+            f"{path}: line {lineno}: not a rank in 1..{n_objects}: "
+            f"{line!r}") + "$"):
+        load_trace(str(path))
+
+
 def test_trace_rank_beyond_catalog_rejected(tmp_path):
     path = tmp_path / "bad.trace"
     path.write_text("#n_objects=3 session=2\n1\n2\n9\n")
@@ -243,6 +263,7 @@ def _reference_body(body: bytes, n_objects: int):
 
 
 _BODY_PIECES = [b"0", b"1", b"2", b"7", b"9", b"12345678901234567890",
+                b"007", b"1 2",
                 b" ", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
                 b"\x1f", b"\r\n", b"\r", b"\n", b"\n", b"\n", b"+", b"-",
                 b"_", "\u0663".encode(), b"\xff"]
@@ -288,13 +309,74 @@ def test_trace_save_load_round_trip(trace_path, case):
     assert (back.session_size, back.n_objects) == (session_size, n_objects)
 
 
+def _reference_save(workload: Workload, path) -> None:
+    """The writer save_trace once ran: str() of each rank, a chunk of
+    tolist() ranks per write."""
+    with open(path, "w") as f:
+        f.write(f"#n_objects={workload.n_objects} "
+                f"session={workload.session_size}\n")
+        requests = workload.requests
+        for start in range(0, requests.size, _TRACE_CHUNK):
+            chunk = requests[start:start + _TRACE_CHUNK].tolist()
+            f.write("\n".join(map(str, chunk)))
+            f.write("\n")
+
+
+_RANK_TOPS = (st.sampled_from([1, 9, 10, 99, 100, 10**6, 10**18, 2**63 - 1])
+              | st.integers(1, 2**63 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from([_TRACE_CHUNK - 1, _TRACE_CHUNK, _TRACE_CHUNK + 1,
+                             2 * _TRACE_CHUNK + 7]) | st.integers(0, 40),
+       tops=st.lists(_RANK_TOPS, min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(size=0, tops=[1, 1, 1], seed=0)
+@example(size=_TRACE_CHUNK + 1, tops=[9, 2**63 - 1, 1], seed=0)
+@example(size=2 * _TRACE_CHUNK + 7, tops=[99, 10**6, 10], seed=1)
+def test_save_trace_writes_reference_bytes(tmp_path_factory, size, tops,
+                                           seed):
+    # each chunk takes its digit width from its own largest rank, tops[i]
+    rng = np.random.default_rng(seed)
+    requests = np.empty(size, dtype=np.int64)
+    for i, start in enumerate(range(0, size, _TRACE_CHUNK)):
+        chunk = requests[start:start + _TRACE_CHUNK]
+        chunk[:] = rng.integers(1, tops[i], chunk.size, endpoint=True)
+        chunk[rng.integers(chunk.size)] = tops[i]
+    workload = Workload(requests=requests, session_size=7,
+                        n_objects=max(tops))
+    folder = tmp_path_factory.mktemp("save")
+    save_trace(workload, str(folder / "new.trace"))
+    _reference_save(workload, folder / "old.trace")
+    assert ((folder / "new.trace").read_bytes()
+            == (folder / "old.trace").read_bytes())
+
+
+def test_save_trace_refuses_what_load_trace_refuses(tmp_path):
+    path = tmp_path / "t.trace"
+    for requests, message in (
+            ([2, 0, -3], "requests[1] is 0, not a rank in 1..3"),
+            ([1, 3, 4, 0], "requests[2] is 4, not a rank in 1..3"),
+            ([-3], "requests[0] is -3, not a rank in 1..3"),
+            ([1.0, 2.0], "requests must be ints, got float64")):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            save_trace(Workload(requests=np.array(requests), session_size=2,
+                                n_objects=3), str(path))
+        assert not path.exists()
+    save_trace(Workload(requests=np.array([], dtype=np.int64),
+                        session_size=2, n_objects=3), str(path))
+    assert path.read_bytes() == b"#n_objects=3 session=2\n"
+
+
 def test_load_trace_is_warning_free(tmp_path):
     # a warning numpy raised here, such as a deprecation of fromstring's
     # text mode, would come with every run --trace; fail on it first
     path = tmp_path / "t.trace"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        path.write_bytes(b"#n_objects=3 session=2\n1\n3\n2\n")
+        save_trace(Workload(requests=np.array([1, 3, 2]), session_size=2,
+                            n_objects=3), str(path))
+        assert path.read_bytes() == b"#n_objects=3 session=2\n1\n3\n2\n"
         assert load_trace(str(path)).requests.tolist() == [1, 3, 2]
         for body in (b"\n \n\t\n", b"1\n2\nx\n", b"1\n2\n4\n"):
             path.write_bytes(b"#n_objects=3 session=2\n" + body)
