@@ -29,13 +29,16 @@ come too often for windows to pay, take it one request at a time.
 LRU needs no cache object: it is a stack algorithm, so a request hits
 exactly when the previous request for its rank is among the last
 requests of the ``C`` most recently used ranks. The previous and next
-position of every request's rank are found once, and one forward walk
-over them per capacity finds the oldest of those last requests.
+position of every request's rank are found once. The oldest of those
+last requests, the LRU end, depends only on the trace, so each
+capacity's trace is cut into about √R lanes that start from their own
+LRU end and are stepped side by side in numpy.
 ``CacheState`` can also be driven one request at a time.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from heapq import heappush, heapreplace
 
@@ -45,6 +48,8 @@ POLICIES = ("session_lfu", "lru", "lfu_classic")
 _FIRST_WINDOW = 64      # requests in the first and smallest LFU window
 _SPAN = 1 << 14         # requests between checks of the LFU swap rate
 _SWAP_COST = 100        # a windowed swap costs about as many scalar hits
+_LANE_STEPS = 16        # LRU lane steps between drops of finished lanes
+_LIVE_PER_REQUEST = 32  # live positions LRU lane starts may filter per request
 
 
 class CacheState:
@@ -207,17 +212,23 @@ def replay(policy: str, requests: np.ndarray,
     Beside the flags the LFU replay keeps only arrays over ranks and
     per-window temporaries. ``lru`` finds ``prev[i]`` and ``next[i]``,
     the previous and next positions of request ``i``'s rank (-1 and
-    ``len(requests)`` when there is none), once for all capacities and
-    walks the trace once per capacity:
+    ``len(requests)`` when there is none), once for all capacities:
 
     - Up to ``fill``, where the ``capacity``-th distinct rank arrives,
       nothing is evicted, so a request hits iff ``prev[i] >= 0``.
     - After ``fill`` the cache holds exactly the ranks whose last
-      request lies at or after position ``b``, itself the least recent
-      of those last requests. Request ``i`` misses iff ``prev[i] < b``;
-      a miss evicts the rank last requested at ``b``, so ``b`` moves
-      on. After every request ``b`` skips the positions whose rank has
-      been requested again since.
+      request lies at or after position ``b``, the LRU end. Before
+      request ``s`` the last requests are the positions ``j < s`` with
+      ``next[j] >= s``, and ``b`` is the ``capacity``-th largest of
+      them, whatever came before. So the trace is cut into about √R
+      lanes, contiguous segments; one forward pass over the lane starts
+      gives each lane its own ``b``, and numpy steps all lanes at once.
+    - Request ``i`` misses iff ``prev[i] < b``, even when ``b`` still
+      lags over positions whose rank has been requested again since,
+      because ``prev[i]`` is never one of them. Each step moves a lane's
+      ``b`` on by one if it lags or the request misses, since a miss
+      evicts the rank last requested at ``b``, and moves the lane to its
+      next request unless the request missed while ``b`` lagged.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -247,24 +258,89 @@ def _lru_flags(requests: np.ndarray,
     prev[later] = earlier
     next_ = np.full(total, total, dtype=index_type)
     next_[earlier] = later
-    # the walks need only prev and next_; free the rest before yielding
+    # the lanes need only prev and next_; free the rest before yielding
     del keys, order, sorted_keys, same, later, earlier
     repeats = prev >= 0
     firsts = np.flatnonzero(~repeats)
-    prev_at, next_at = memoryview(prev), memoryview(next_)
-    for capacity in capacities:
+    # a capacity of at least every distinct rank never evicts, so it
+    # needs no lane starts; 1 stands in for it
+    sizes = np.array([c if c < firsts.size else 1 for c in capacities],
+                     dtype=np.int64)
+    lanes = _lane_count(total, int(sizes.max(initial=1)))
+    bounds = np.arange(lanes + 1, dtype=np.int64) * total // lanes
+    lru_ends = _lane_lru_ends(next_, bounds, sizes)
+    for capacity, lru_end in zip(capacities, lru_ends):
         flags = repeats.copy()
         if firsts.size > capacity:        # else never full: no eviction
             fill = int(firsts[capacity - 1])
-            b = int(np.argmax(next_[:fill + 1] > fill))
-            hit_at = memoryview(flags)
-            for i in range(fill + 1, total):
-                if prev_at[i] < b:
-                    hit_at[i] = False
-                    b += 1
-                while next_at[b] <= i:    # stops at i at the latest
-                    b += 1
+            # a new rank comes after fill, so fill + 1 is a request; the
+            # lane holding it starts there, at the oldest last request,
+            # and the lanes before it only fill the cache
+            k = int(np.searchsorted(bounds, fill + 1, side="right")) - 1
+            at, b = bounds[k:-1].copy(), lru_end[k:].copy()
+            at[0], b[0] = fill + 1, np.argmax(next_[:fill + 1] > fill)
+            _step_lanes(prev, next_, flags, at, b, bounds[k + 1:])
         yield flags
+
+
+def _lane_count(total: int, top: int) -> int:
+    """The number of LRU lanes for ``total`` requests and a largest
+    capacity ``top``. About √R lanes balance the lane starts against the
+    steps, about R/lanes per capacity. Each lane start filters up to
+    ``top`` live positions, so a large ``top`` gets fewer lanes: at most
+    ``_LIVE_PER_REQUEST`` positions filtered per request."""
+    return max(1, min(math.isqrt(total), _LIVE_PER_REQUEST * total // top))
+
+
+def _lane_lru_ends(next_: np.ndarray, bounds: np.ndarray,
+                   sizes: np.ndarray) -> np.ndarray:
+    """The LRU end of a cache of each of ``sizes`` at the start of each
+    lane, one row per size: the ``size``-th largest position ``j < s``
+    with ``next_[j] >= s`` at each lane start ``s``, or -1 where fewer
+    distinct ranks have come.
+
+    One forward pass keeps those positions of the newest ``top`` ranks,
+    ascending; a position leaves once its rank is requested again, and
+    one that falls below the ``top`` newest never rises again.
+    """
+    ends = np.full((sizes.size, bounds.size - 1), -1, dtype=np.int64)
+    top = int(sizes.max(initial=1))
+    live = np.empty(0, dtype=np.int64)
+    for k in range(1, bounds.size - 1):
+        start, stop = int(bounds[k - 1]), int(bounds[k])
+        live = np.concatenate((
+            live[next_[live] >= stop],
+            np.flatnonzero(next_[start:stop] >= stop) + start))[-top:]
+        at = live.size - sizes
+        full = at >= 0
+        ends[full, k] = live[at[full]]
+    return ends
+
+
+def _step_lanes(prev: np.ndarray, next_: np.ndarray, flags: np.ndarray,
+                at: np.ndarray, b: np.ndarray, ends: np.ndarray) -> None:
+    """Writes the LRU hit flags of the lanes that stand at requests
+    ``at`` with LRU ends ``b`` until each reaches its end.
+
+    Past its end a lane carries on exactly over the next lane's
+    requests, so finished lanes are dropped only every ``_LANE_STEPS``
+    steps, and no lane is stepped past the last request.
+    """
+    total = flags.size
+    while True:
+        going = at < ends
+        at, b, ends = at[going], b[going], ends[going]
+        if not at.size:
+            return
+        for _ in range(min(_LANE_STEPS, total - int(at.max()))):
+            hit = prev[at] >= b
+            # b lags over a position whose rank was requested again
+            lags = next_[b] < at
+            flags[at] = hit
+            b += 1
+            b -= hit > lags               # a hit on the LRU end keeps it
+            at += 1
+            at -= lags > hit              # a miss waits for the LRU end
 
 
 def _lfu_flags(requests: np.ndarray, capacity: int) -> np.ndarray:

@@ -19,6 +19,9 @@ DEFAULT_SIZE_RANGE = (1.0, 15.0)   # kilobits
 DEFAULT_TIME_RANGE = (1.0, 10.0)   # milliseconds
 DEFAULT_SESSION_SIZE = 1000
 _TRACE_CHUNK = 1 << 16   # ranks per digit matrix and write in save_trace
+# the largest catalog a trace names: a rank too long for int64 reads as
+# 2**63 - 1, so it must fall outside every catalog
+_MAX_OBJECTS = 2**63 - 2
 # the ASCII whitespace str.strip() drops
 _WS = b" \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
@@ -125,11 +128,18 @@ def rank_histogram(workload: Workload) -> np.ndarray:
 def save_trace(workload: Workload, path: str) -> None:
     """Write a workload as a header line plus one rank per line.
 
-    Raises ``ValueError``, before the file is opened, if the requests
-    are not ints or one is not a rank in ``1..n_objects``, which
-    :func:`load_trace` would refuse.
+    Raises ``ValueError``, before the file is opened, if ``n_objects``
+    is not an int in ``1..2**63 - 2``, the session size not an int of at
+    least 1, the requests not ints or one not a rank in ``1..n_objects``,
+    which :func:`load_trace` would refuse.
     """
     requests, n_objects = workload.requests, workload.n_objects
+    for name, value, top in (("n_objects", n_objects, _MAX_OBJECTS),
+                             ("session_size", workload.session_size, None)):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 1 or (top is not None and value > top)):
+            bounds = f"in 1..{top}" if top else ">= 1"
+            raise ValueError(f"{name} must be an int {bounds}, got {value}")
     if requests.dtype.kind not in "iu":
         raise ValueError(f"requests must be ints, got {requests.dtype}")
     i = _first_outside(requests, n_objects)
@@ -175,9 +185,10 @@ def load_trace(path: str) -> Workload:
     Line 1 is the header, up to the first ``\n`` less one trailing ``\r``:
     ``#`` and the words ``n_objects=N`` and ``session=S``, each once, in
     either order, with ASCII digits for values and the whitespace below
-    between words. Only ``\n`` ends a line, and every later line is blank
-    or one rank in ``1..n_objects`` in ASCII digits, with optional ASCII
-    whitespace around it: space, ``\t``, ``\r``, ``\v``, ``\f`` and
+    between words; ``N`` is in ``1..2**63 - 2`` and ``S`` at least 1.
+    Only ``\n`` ends a line, and every later line is blank or one rank
+    in ``1..n_objects`` in ASCII digits, with optional ASCII whitespace
+    around it: space, ``\t``, ``\r``, ``\v``, ``\f`` and
     ``\x1c``-``\x1f``.
     Raises :class:`TraceParseError` naming the earliest line that breaks
     this, and on an empty file, a bad header or a body with no ranks.
@@ -203,6 +214,9 @@ def load_trace(path: str) -> Workload:
         raise TraceParseError(f"{path}: line 1: malformed header {shown!r}")
     if n_objects < 1 or session_size < 1:
         raise TraceParseError(f"{path}: line 1: non-positive header fields")
+    if n_objects > _MAX_OBJECTS:
+        raise TraceParseError(
+            f"{path}: line 1: n_objects above {_MAX_OBJECTS}")
 
     tokens, bad = _scan_body(body)
     # numpy takes \x1c-\x1f for data, and reads whitespace alone as [0]

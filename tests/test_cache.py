@@ -62,6 +62,31 @@ class ReferenceLru:
         return False, evicted
 
 
+def walk_lru_flags(ranks, capacity):
+    """LRU hit flags by one pointer walk over the trace, a Python step
+    per request: after the fill, ``b`` is the oldest last request among
+    the ``capacity`` most recently used ranks. An oracle for traces too
+    long for ``ReferenceLru``."""
+    total = len(ranks)
+    prev, next_, last = [-1] * total, [total] * total, {}
+    for i, rank in enumerate(ranks):
+        if rank in last:
+            prev[i], next_[last[rank]] = last[rank], i
+        last[rank] = i
+    flags = [p >= 0 for p in prev]
+    firsts = [i for i, p in enumerate(prev) if p < 0]
+    if len(firsts) > capacity:
+        fill = firsts[capacity - 1]
+        b = next(j for j in range(fill + 1) if next_[j] > fill)
+        for i in range(fill + 1, total):
+            if prev[i] < b:
+                flags[i] = False
+                b += 1
+            while next_[b] <= i:
+                b += 1
+    return flags
+
+
 def _outcomes(cache, ranks):
     return [cache.access(r) for r in ranks]
 
@@ -454,6 +479,69 @@ def test_lru_brute_force_equivalence_zipf_traces(alpha, capacity):
         ranks.append(201)                 # a rank outside the catalog
     _assert_replay_matches("lru", ReferenceLru, ranks,
                            [capacity, 1, len(set(ranks))])
+
+
+def _force_lanes(patch, lanes):
+    """Makes the LRU replay cut every trace into ``lanes`` lanes; None
+    keeps the derived count."""
+    if lanes is not None:
+        patch.setattr(cache_module, "_lane_count", lambda total, top: lanes)
+
+
+def _lane_starts(total, lanes):
+    """The first request of each lane, as the replay cuts the trace."""
+    return [k * total // lanes for k in range(lanes)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(ranks=st.integers(1, 8).flatmap(
+           lambda n: st.lists(st.integers(1, n), min_size=1, max_size=60)),
+       capacities=st.lists(st.integers(1, 10), min_size=1, max_size=4),
+       lanes=st.sampled_from([1, 2, 3, 7, None]),
+       scale=st.sampled_from([1, 256, 65_536]))
+def test_lru_lanes_match_reference_property(ranks, capacities, lanes, scale):
+    # capacities come unsorted, repeated and up to past every distinct
+    # rank; scaled past 255 and 65,535, ranks need wider sort keys
+    ranks = [rank * scale for rank in ranks]
+    with pytest.MonkeyPatch.context() as patch:
+        _force_lanes(patch, lanes)
+        _assert_replay_matches("lru", ReferenceLru, ranks, capacities)
+
+
+@pytest.mark.parametrize("start", [3, 4, 5, 6])
+def test_lru_lane_starts_around_fill(monkeypatch, start):
+    # at C=3 the third distinct rank comes at request 4; with 7 lanes of
+    # `start` requests the second lane starts before, at, one past and
+    # two past that fill
+    tail = np.random.default_rng(start).integers(1, 6, 7 * start - 5)
+    ranks = [1, 1, 2, 1, 3, *tail.tolist()]
+    assert _lane_starts(len(ranks), 7)[1] == start
+    _force_lanes(monkeypatch, 7)
+    _assert_replay_matches("lru", ReferenceLru, ranks, [3, 2, 3, 6])
+
+
+def test_lru_lane_starts_on_a_rerequest_of_its_lru_end(monkeypatch):
+    # at C=2, before request 4 the cache holds ranks 3 and 4 and its LRU
+    # end is request 2; the lane that starts at request 4 asks for rank
+    # 3 again, a hit on the LRU end itself, which then lags
+    tail = np.random.default_rng(4).integers(1, 6, 23)
+    ranks = [1, 2, 3, 4, 3, *tail.tolist()]
+    assert _lane_starts(len(ranks), 7)[1] == 4
+    _force_lanes(monkeypatch, 7)
+    _assert_replay_matches("lru", ReferenceLru, ranks, [2])
+
+
+@pytest.mark.parametrize("alpha", [0.98, 0.31])
+def test_lru_flags_independent_of_lane_count(alpha):
+    requests = generate_workload(build_catalog(10_000, alpha), 200_000,
+                                 1000, seed=21).requests
+    capacities = [5000, 10, 1000, 100]
+    expected = [walk_lru_flags(requests.tolist(), c) for c in capacities]
+    for lanes in (None, 31, 2000):
+        with pytest.MonkeyPatch.context() as patch:
+            _force_lanes(patch, lanes)
+            flags = [f.tolist() for f in replay("lru", requests, capacities)]
+        assert flags == expected, lanes
 
 
 @pytest.mark.parametrize("policy", ["session_lfu", "lru", "lfu_classic"])
