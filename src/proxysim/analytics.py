@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .popularity import ZipfCatalog, check_rank
-from .workload import ObjectAttributes
+from .workload import ObjectAttributes, format_rows
 
 ASYMPTOTIC_MODES = ("paper", "corrected")
 RATE_CONVENTIONS = ("product", "ratio")
@@ -220,14 +220,15 @@ def model_report(catalog: ZipfCatalog, attributes: ObjectAttributes,
 def write_model_report_csv(report: ModelReport, catalog: ZipfCatalog,
                            path: str) -> None:
     """Write per-rank model rows plus a trailing summary line."""
-    # Python floats from tolist() format faster than numpy scalars
-    columns = (range(1, catalog.n_objects + 1),
-               catalog.probabilities.tolist(), report.per_rank_miss.tolist(),
-               report.per_rank_bandwidth.tolist())
-    with open(path, "w") as f:
-        f.write("rank,p,miss_prob,bandwidth\n")
-        f.writelines(map("%d,%.10e,%.10e,%.10e\n".__mod__, zip(*columns)))
-        f.write("# summary h_demand=%.10e top_c_mass=%.10e "
-                "aggregate_bandwidth=%.10e\n" % (
-                    report.h_demand, report.top_c_mass,
-                    report.aggregate_bandwidth))
+    rows = format_rows("%d,%.10e,%.10e,%.10e\n",
+                       (np.arange(1, catalog.n_objects + 1),
+                        catalog.probabilities, report.per_rank_miss,
+                        report.per_rank_bandwidth))
+    summary = ("# summary h_demand=%.10e top_c_mass=%.10e "
+               "aggregate_bandwidth=%.10e\n" % (
+                   report.h_demand, report.top_c_mass,
+                   report.aggregate_bandwidth))
+    with open(path, "wb") as f:
+        f.write(b"rank,p,miss_prob,bandwidth\n")
+        f.write(rows)
+        f.write(summary.encode())

@@ -29,10 +29,12 @@ come too often for windows to pay, take it one request at a time.
 LRU needs no cache object: it is a stack algorithm, so a request hits
 exactly when the previous request for its rank is among the last
 requests of the ``C`` most recently used ranks. The previous and next
-position of every request's rank are found once. The oldest of those
-last requests, the LRU end, depends only on the trace, so each
-capacity's trace is cut into about √R lanes that start from their own
-LRU end and are stepped side by side in numpy.
+position of every request's rank are found once, by stable sorts of
+the ranks 16 bits at a time. The oldest of those last requests, the LRU
+end, depends only on the trace, so the trace is cut into about √R lanes
+that start from their own LRU end, and one numpy loop steps the lanes of
+every capacity side by side, a group of capacities at a time whose flags
+take no more bytes than the requests.
 ``CacheState`` can also be driven one request at a time.
 """
 
@@ -185,7 +187,8 @@ def replay(policy: str, requests: np.ndarray,
            capacities: Sequence[int]) -> Iterator[np.ndarray]:
     """Replay ``requests`` through a fresh cache of each capacity in
     ``capacities``; yields one array of hit flags, one per request, for
-    each capacity in turn, so a caller can drop each before the next.
+    each capacity in turn, so a caller can drop each before the next;
+    LRU frees them a group of capacities at a time.
 
     The policy, every capacity and the ranks, which must be non-negative
     ints, are checked here, before any replay; LFU replay keeps arrays
@@ -212,7 +215,8 @@ def replay(policy: str, requests: np.ndarray,
     Beside the flags the LFU replay keeps only arrays over ranks and
     per-window temporaries. ``lru`` finds ``prev[i]`` and ``next[i]``,
     the previous and next positions of request ``i``'s rank (-1 and
-    ``len(requests)`` when there is none), once for all capacities:
+    ``len(requests)`` when there is none), once for all capacities, from
+    stable sorts of the ranks one 16-bit digit at a time:
 
     - Up to ``fill``, where the ``capacity``-th distinct rank arrives,
       nothing is evicted, so a request hits iff ``prev[i] >= 0``.
@@ -222,7 +226,11 @@ def replay(policy: str, requests: np.ndarray,
       ``next[j] >= s``, and ``b`` is the ``capacity``-th largest of
       them, whatever came before. So the trace is cut into about √R
       lanes, contiguous segments; one forward pass over the lane starts
-      gives each lane its own ``b``, and numpy steps all lanes at once.
+      gives each lane its own ``b`` at every capacity, and numpy steps
+      the lanes of all capacities at once, each writing its capacity's
+      row of flags. The capacities go in groups whose flags take no more
+      bytes than ``requests``, and the flags of a group are yielded when
+      its lanes are done.
     - Request ``i`` misses iff ``prev[i] < b``, even when ``b`` still
       lags over positions whose rank has been requested again since,
       because ``prev[i]`` is never one of them. Each step moves a lane's
@@ -246,10 +254,9 @@ def _lru_flags(requests: np.ndarray,
                capacities: Sequence[int]) -> Iterator[np.ndarray]:
     """Hit flags of a fresh LRU cache of each capacity; see :func:`replay`."""
     total = requests.size
-    # the narrowest type that holds every rank, none negative: at 16 bits
-    # or fewer numpy's stable sort is a radix sort
+    # the narrowest type that holds every rank, none negative
     keys = requests.astype(np.min_scalar_type(requests.max(initial=0)))
-    order = np.argsort(keys, kind="stable")
+    order = _stable_order(keys)
     sorted_keys = keys[order]
     same = sorted_keys[1:] == sorted_keys[:-1]
     later, earlier = order[1:][same], order[:-1][same]
@@ -269,18 +276,48 @@ def _lru_flags(requests: np.ndarray,
     lanes = _lane_count(total, int(sizes.max(initial=1)))
     bounds = np.arange(lanes + 1, dtype=np.int64) * total // lanes
     lru_ends = _lane_lru_ends(next_, bounds, sizes)
-    for capacity, lru_end in zip(capacities, lru_ends):
-        flags = repeats.copy()
-        if firsts.size > capacity:        # else never full: no eviction
+    # the flags of a group of capacities take no more bytes than requests
+    group = requests.itemsize
+    for first in range(0, len(capacities), group):
+        chunk = capacities[first:first + group]
+        flags = np.empty((len(chunk), total), dtype=bool)
+        flags[:] = repeats
+        at, b, ends, base = [], [], [], []
+        for row, capacity in enumerate(chunk):
+            if firsts.size <= capacity:   # never full: no eviction
+                continue
             fill = int(firsts[capacity - 1])
             # a new rank comes after fill, so fill + 1 is a request; the
             # lane holding it starts there, at the oldest last request,
             # and the lanes before it only fill the cache
             k = int(np.searchsorted(bounds, fill + 1, side="right")) - 1
-            at, b = bounds[k:-1].copy(), lru_end[k:].copy()
-            at[0], b[0] = fill + 1, np.argmax(next_[:fill + 1] > fill)
-            _step_lanes(prev, next_, flags, at, b, bounds[k + 1:])
-        yield flags
+            at.append(bounds[k:-1].copy())
+            b.append(lru_ends[first + row, k:].copy())
+            at[-1][0] = fill + 1
+            b[-1][0] = np.argmax(next_[:fill + 1] > fill)
+            ends.append(bounds[k + 1:])
+            base.append(np.full(lanes - k, row * total, dtype=np.int64))
+        if at:
+            _step_lanes(prev, next_, flags.reshape(-1), np.concatenate(at),
+                        np.concatenate(b), np.concatenate(ends),
+                        np.concatenate(base))
+        yield from flags
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative int keys, as
+    stable passes over their 16-bit digits, least significant first:
+    numpy sorts 16-bit keys by radix, and wider ones far slower."""
+    order = None
+    for shift in range(0, max(int(keys.max(initial=0)).bit_length(), 1), 16):
+        # keys of 16 bits or fewer take one pass over themselves
+        digit = (keys if keys.itemsize <= 2 else
+                 (keys >> shift).astype(np.uint16))
+        if order is None:
+            order = np.argsort(digit, kind="stable")
+        else:
+            order = order[np.argsort(digit[order], kind="stable")]
+    return order
 
 
 def _lane_count(total: int, top: int) -> int:
@@ -318,25 +355,28 @@ def _lane_lru_ends(next_: np.ndarray, bounds: np.ndarray,
 
 
 def _step_lanes(prev: np.ndarray, next_: np.ndarray, flags: np.ndarray,
-                at: np.ndarray, b: np.ndarray, ends: np.ndarray) -> None:
+                at: np.ndarray, b: np.ndarray, ends: np.ndarray,
+                base: np.ndarray) -> None:
     """Writes the LRU hit flags of the lanes that stand at requests
-    ``at`` with LRU ends ``b`` until each reaches its end.
+    ``at`` with LRU ends ``b`` until each reaches its end. A lane writes
+    request ``i``'s flag at ``flags[base + i]``: each capacity's lanes
+    write their own row of flags, so one loop steps every capacity.
 
     Past its end a lane carries on exactly over the next lane's
     requests, so finished lanes are dropped only every ``_LANE_STEPS``
     steps, and no lane is stepped past the last request.
     """
-    total = flags.size
+    total = prev.size
     while True:
         going = at < ends
-        at, b, ends = at[going], b[going], ends[going]
+        at, b, ends, base = at[going], b[going], ends[going], base[going]
         if not at.size:
             return
         for _ in range(min(_LANE_STEPS, total - int(at.max()))):
             hit = prev[at] >= b
             # b lags over a position whose rank was requested again
             lags = next_[b] < at
-            flags[at] = hit
+            flags[base + at] = hit
             b += 1
             b -= hit > lags               # a hit on the LRU end keeps it
             at += 1

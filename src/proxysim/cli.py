@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from .analytics import (ASYMPTOTIC_MODES, RATE_CONVENTIONS, BandwidthParams,
                         write_model_report_csv)
 from .cache import POLICIES
 from .popularity import build_catalog
-from .simulator import (DEFAULT_ALPHAS, SimConfig, compare_run,
+from .simulator import (DEFAULT_ALPHAS, SimConfig, SimReport, compare_run,
                         run_simulation, simulate_workload, spawn_seeds, sweep,
                         write_comparison_csv, write_json, write_report_csv,
                         write_summary_json)
@@ -46,25 +47,50 @@ def _int_list(text: str) -> tuple[int, ...]:
     return items
 
 
-def _commit(outputs: dict) -> None:
+def _temp(path: str, pid: int) -> str:
+    """The sibling temp file of ``path`` that process ``pid`` commits."""
+    return f"{path}.tmp{pid}"
+
+
+def _stage(outputs: dict, pid: int) -> None:
+    """Write each path of ``outputs`` through its writer to its temp file
+    for process ``pid``; an ``OSError`` is re-raised as one that names
+    the path, not its temp file."""
+    for path, writer in outputs.items():
+        try:
+            writer(_temp(path, pid))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+def _discard(paths) -> None:
+    """Remove each of ``paths`` that is a file; an obstacle, such as a
+    directory in an output's place, stays."""
+    for path in paths:
+        if os.path.isfile(path):
+            os.unlink(path)
+
+
+def _commit(outputs: dict, staged: Sequence[str] = ()) -> None:
     """Write each path of ``outputs`` through its writer to a sibling temp
-    file, then rename them all in order; if any step fails, remove every
-    temp file and every file already renamed, and re-raise, an ``OSError``
-    as one that names the failed path, not its temp file."""
-    staged = {path: f"{path}.tmp{os.getpid()}" for path in outputs}
+    file, then rename the temp files of ``staged``, paths whose temp
+    files were written before, and of ``outputs`` in that order; if any
+    step fails, remove every temp file and every file already renamed,
+    and re-raise, an ``OSError`` as one that names the failed path, not
+    its temp file."""
+    pid = os.getpid()
+    paths = [*staged, *outputs]
     placed = []
     try:
-        for path, writer in outputs.items():
-            writer(staged[path])
-        for path, tmp in staged.items():
-            os.replace(tmp, path)
+        _stage(outputs, pid)
+        for path in paths:
+            try:
+                os.replace(_temp(path, pid), path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
             placed.append(path)
-    except BaseException as exc:
-        for name in [*placed, *staged.values()]:
-            if os.path.exists(name):
-                os.unlink(name)
-        if isinstance(exc, OSError):
-            raise OSError(exc.errno, exc.strerror, path) from exc
+    except BaseException:
+        _discard([*placed, *(_temp(path, pid) for path in paths)])
         raise
 
 
@@ -306,36 +332,56 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
+def _point_files(alpha: float, capacity: int) -> tuple[str, str]:
+    """The report and summary file names of a sweep point."""
+    stem = f"a{alpha:g}_c{capacity}"
+    return f"report_{stem}.csv", f"summary_{stem}.json"
+
+
+def _stage_point(out_dir: str, pid: int, report: SimReport) -> dict:
+    """Write a sweep point's report and summary to their temp files for
+    process ``pid``, in the worker that made the report; returns the
+    point's manifest entry."""
+    echo = report.config
+    report_csv, summary_json = _point_files(echo["alpha"],
+                                            echo["cache_capacity"])
+    os.makedirs(out_dir, exist_ok=True)
+    _stage({os.path.join(out_dir, report_csv):
+                lambda p: write_report_csv(report, p),
+            os.path.join(out_dir, summary_json):
+                lambda p: write_summary_json(report, p)}, pid)
+    return {"alpha": echo["alpha"], "capacity": echo["cache_capacity"],
+            "seed": echo["seed"], "hit_ratio": report.hit_ratio,
+            "report_csv": report_csv, "summary_json": summary_json}
+
+
 def cmd_sweep(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require(sub, args, "seed", "out-dir")
     config = _sim_config(args, args.alphas, args.capacities)
-    # alpha-major, as sweep returns its reports
-    stems = [f"a{alpha:g}_c{capacity}" for alpha in config.alphas
+    # alpha-major, as sweep returns its points
+    names = [_point_files(alpha, capacity) for alpha in config.alphas
              for capacity in config.capacities]
-    clash = next((s for s in stems if stems.count(s) > 1), None)
+    report_files = [report_csv for report_csv, _ in names]
+    clash = next((name for name in report_files
+                  if report_files.count(name) > 1), None)
     if clash is not None:
         sub.error(f"two sweep points would both write {clash}; "
                   "give distinct --alphas and --capacities")
-    reports = sweep(config)
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    outputs, manifest = {}, {"outputs": []}
-    for stem, report in zip(stems, reports):
-        entry = {"alpha": report.config["alpha"],
-                 "capacity": report.config["cache_capacity"],
-                 "seed": report.config["seed"], "hit_ratio": report.hit_ratio,
-                 "report_csv": f"report_{stem}.csv",
-                 "summary_json": f"summary_{stem}.json"}
-        manifest["outputs"].append(entry)
-        outputs[os.path.join(args.out_dir, entry["report_csv"])] = (
-            lambda p, r=report: write_report_csv(r, p))
-        outputs[os.path.join(args.out_dir, entry["summary_json"])] = (
-            lambda p, r=report: write_summary_json(r, p))
-    outputs[os.path.join(args.out_dir, "manifest.json")] = (
-        lambda p: write_json(manifest, p))
-    _commit(outputs)
-    noun = "report" if len(reports) == 1 else "reports"
-    print(f"wrote {len(reports)} {noun} and manifest.json to {args.out_dir}")
+    # the workers stage each point's files; this process renames them
+    from functools import partial
+    pid = os.getpid()
+    staged = [os.path.join(args.out_dir, name)
+              for pair in names for name in pair]
+    try:
+        entries = sweep(config, partial(_stage_point, args.out_dir, pid))
+    except BaseException:
+        _discard(_temp(path, pid) for path in staged)
+        raise
+    manifest = {"outputs": entries}
+    _commit({os.path.join(args.out_dir, "manifest.json"):
+             lambda p: write_json(manifest, p)}, staged)
+    noun = "report" if len(entries) == 1 else "reports"
+    print(f"wrote {len(entries)} {noun} and manifest.json to {args.out_dir}")
     return 0
 
 

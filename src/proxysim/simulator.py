@@ -25,7 +25,8 @@ from .cache import replay
 from .popularity import build_catalog
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
                        DEFAULT_TIME_RANGE, ObjectAttributes, Workload,
-                       assign_attributes, generate_workload, rank_histogram)
+                       assign_attributes, format_rows, generate_workload,
+                       rank_histogram)
 
 DEFAULT_ALPHAS = (0.98, 0.75, 0.64, 0.51, 0.41, 0.31)
 
@@ -186,7 +187,14 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def sweep(config: SimConfig) -> list[SimReport]:
+def _sweep_alpha(config: SimConfig, stage) -> list:
+    """The reports of one sweep alpha, each passed through ``stage``
+    unless it is None."""
+    reports = _simulate_alpha(config)
+    return reports if stage is None else list(map(stage, reports))
+
+
+def sweep(config: SimConfig, stage=None) -> list:
     """Run the cross-product of the config's alpha and capacity lists; a
     scalar counts as a one-element list.
 
@@ -194,26 +202,36 @@ def sweep(config: SimConfig) -> list[SimReport]:
     :func:`spawn_seeds` for the alpha at index ``i``, and replays it at
     every capacity; every point equals :func:`run_simulation` at its
     capacity and the seed its config echo records. Alphas share
-    nothing, so they run in worker processes, at most one per available
-    CPU; reports come back alpha-major in the order of the config's
-    lists and do not depend on the worker count. If an alpha raises,
-    the pending ones are cancelled and its exception is re-raised here.
+    nothing, so they run in worker processes: one per alpha while there
+    are fewer alphas than twice the available CPUs, so that no alpha
+    waits behind another while a CPU idles, else one per CPU. Results
+    come back alpha-major in the order of the config's lists and do not
+    depend on the worker count. If an alpha raises, the pending ones
+    are cancelled, the running ones finish, and its exception is
+    re-raised here.
+
+    ``stage``, a picklable callable, if given, takes each report in the
+    worker that made it, and its result, which must pickle too, comes
+    back in place of the report: a caller can write each point where
+    it is made and take back only what it needs of it.
     """
     seeds = spawn_seeds(config.seed, len(config.alphas))
     tasks = [replace(config, alpha=alpha, seed=seed)
              for alpha, seed in zip(config.alphas, seeds)]
-    workers = min(len(tasks), _available_cpus())
+    cpus = _available_cpus()
+    workers = len(tasks) if len(tasks) < 2 * cpus else cpus
+    stages = [stage] * len(tasks)
     if workers == 1:
-        per_alpha = list(map(_simulate_alpha, tasks))
+        per_alpha = list(map(_sweep_alpha, tasks, stages))
     else:
         # imported here so that importing the package does not pay for it
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(workers)
         try:
-            per_alpha = list(pool.map(_simulate_alpha, tasks))
+            per_alpha = list(pool.map(_sweep_alpha, tasks, stages))
         finally:
             pool.shutdown(cancel_futures=True)
-    return [report for reports in per_alpha for report in reports]
+    return [result for results in per_alpha for result in results]
 
 
 def compare_run(reports: list[SimReport]) -> list[CapacityComparison]:
@@ -297,15 +315,14 @@ def fit_power_law(counts, max_rank: int) -> tuple[float, float]:
 
 def write_report_csv(report: SimReport, path: str) -> None:
     """Write per-rank tallies with a log-100 rank axis column."""
-    n = report.requests.size
-    log100 = np.log(np.arange(1, n + 1)) / np.log(100.0)
-    # Python ints and floats from tolist() format faster than numpy scalars
-    columns = (range(1, n + 1), log100.tolist(), report.requests.tolist(),
-               report.hits.tolist(), report.misses.tolist(),
-               report.imported_bandwidth.tolist())
-    with open(path, "w") as f:
-        f.write("rank,log100_rank,requests,hits,misses,bandwidth\n")
-        f.writelines(map("%d,%.6f,%d,%d,%d,%.10e\n".__mod__, zip(*columns)))
+    ranks = np.arange(1, report.requests.size + 1)
+    log100 = np.log(ranks) / np.log(100.0)
+    rows = format_rows("%d,%.6f,%d,%d,%d,%.10e\n",
+                       (ranks, log100, report.requests, report.hits,
+                        report.misses, report.imported_bandwidth))
+    with open(path, "wb") as f:
+        f.write(b"rank,log100_rank,requests,hits,misses,bandwidth\n")
+        f.write(rows)
 
 
 def write_json(payload: dict, path: str) -> None:

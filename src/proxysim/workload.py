@@ -3,12 +3,15 @@
 A workload is a fixed request sequence with a nominal session size,
 plus per-object size and channel-time attributes used by the bandwidth
 accounting. Traces round-trip through a one-rank-per-line text format.
+:func:`format_rows` writes the rows of traces and of the simulator's and
+the model's CSV reports: numpy columns to the bytes of Python's ``%``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,13 @@ _TRACE_CHUNK = 1 << 16   # ranks per digit matrix and write in save_trace
 # the largest catalog a trace names: a rank too long for int64 reads as
 # 2**63 - 1, so it must fall outside every catalog
 _MAX_OBJECTS = 2**63 - 2
+# a conversion of format_rows: %d, or %.Pf or %.Pe with P places
+_CONVERSION = re.compile(r"%(?:d|\.(\d+)([ef]))")
+_TIE = 2.0 ** -16         # scaled floats this close to a tie go to Python
+_SCALED_TOP = 2.0 ** 40   # and those this large
+# a float scaled in long double rounds as exactly as _scaled says only
+# where that type has at least 64 significant bits; else Python writes
+_WIDE = np.finfo(np.longdouble).nmant >= 63
 # the ASCII whitespace str.strip() drops
 _WS = b" \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
@@ -163,20 +173,138 @@ def _first_outside(requests: np.ndarray, n_objects: int) -> int | None:
 
 def _rank_lines(ranks: np.ndarray) -> bytes:
     r"""``b"%d\n"`` of each positive rank, joined."""
-    top = int(ranks.max())
-    width = len(str(top))
-    value = ranks.astype(np.min_scalar_type(top))
-    # row i holds rank i's digits right-aligned, then \n; keep drops the
-    # places left of its leading digit
-    lines = np.empty((ranks.size, width + 1), dtype=np.uint8)
-    keep = np.ones(lines.shape, dtype=bool)
-    lines[:, width] = ord("\n")
+    return format_rows("%d\n", [ranks])
+
+
+def format_rows(template: str, columns: Sequence[np.ndarray]) -> bytes:
+    """``template % row`` for each row of ``columns``, joined, in ASCII.
+
+    ``template`` is literal ASCII text with one conversion per column, in
+    order: ``%d`` of an int column, or ``%.Pf`` or ``%.Pe`` of a float
+    column. The digits come from numpy arithmetic: an int's one place at
+    a time, a float's from its value scaled by a power of ten in long
+    double and rounded to an int. A row whose bytes this cannot decide
+    exactly is formatted by ``template % row`` itself: one with a value
+    that is negative, -0.0 or not finite, or a scaled float at or past
+    ``2**40`` or within ``2**-16`` of a rounding tie, and every row where
+    long double has fewer than 64 significant bits. So every byte is the
+    one that Python's ``%`` writes.
+    """
+    pieces = _CONVERSION.split(template)
+    rows = len(columns[0])
+    # literal bytes; (ints, least), the digits of ints in at least
+    # `least` places; or a bool column, "-" where True and "+" elsewhere
+    parts, slow = [], np.zeros(rows, dtype=bool)
+    for literal, precision, kind, column in zip(
+            pieces[::3], pieces[1::3], pieces[2::3], columns):
+        parts.append(literal.encode("ascii"))
+        if kind is None:
+            column = np.asarray(column)
+            bad = column < 0
+            parts.append((np.where(bad, 0, column) if bad.any() else column,
+                          1))
+        else:
+            places = int(precision)
+            digits, exponent, bad = _scaled(
+                np.asarray(column, dtype=np.float64), places, kind)
+            bad |= not _WIDE
+            whole, fraction = np.divmod(digits, 10 ** places)
+            parts += [(whole, 1), b".", (fraction, places)]
+            if kind == "e":
+                parts += [b"e", exponent < 0, (np.abs(exponent), 2)]
+        slow |= bad
+    parts.append(pieces[-1].encode("ascii"))
+
+    widths = [len(part) if isinstance(part, bytes) else
+              max(len(str(int(part[0].max(initial=0)))), part[1])
+              if isinstance(part, tuple) else 1 for part in parts]
+    cells = np.empty((rows, sum(widths)), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    start = 0
+    for part, width in zip(parts, widths):
+        at = slice(start, start + width)
+        if isinstance(part, bytes):
+            cells[:, at] = np.frombuffer(part, dtype=np.uint8)
+        elif isinstance(part, tuple):
+            _write_digits(*part, cells[:, at], keep[:, at])
+        else:
+            cells[:, start] = np.where(part, ord("-"), ord("+"))
+        start += width
+    if not slow.any():
+        return cells[keep].tobytes()
+    keep[slow] = False
+    body = cells[keep].tobytes()
+    # each slow row goes where its empty row ends, in Python's bytes
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    chunks, start = [], 0
+    for i in np.flatnonzero(slow).tolist():
+        chunks += (body[start:ends[i]],
+                   (template % tuple(np.asarray(column)[i].item()
+                                     for column in columns)).encode())
+        start = ends[i]
+    chunks.append(body[start:])
+    return b"".join(chunks)
+
+
+def _write_digits(value: np.ndarray, least: int, cells: np.ndarray,
+                  keep: np.ndarray) -> None:
+    """Writes the decimal digits of non-negative ints ``value`` into the
+    rows of ``cells``, right-aligned, and clears ``keep`` over the zeros
+    left of each leading digit and of the last ``least`` columns."""
+    width = cells.shape[1]
+    value = value.astype(np.min_scalar_type(int(value.max(initial=0))))
     for place in range(width - 1, -1, -1):
-        lines[:, place] = value % 10 + ord("0")
+        cells[:, place] = value % 10 + ord("0")
         value //= 10
-        if place:
+        if 0 < place <= width - least:
             keep[:, place - 1] = value > 0
-    return lines[keep].tobytes()
+
+
+def _scaled(x: np.ndarray, precision: int, kind: str
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``%.Pf`` or ``%.Pe`` of each float in ``x`` as ints: the digits of
+    the value rounded to ``precision`` places, its exponent (0 for
+    ``f``), and where that rounding may differ from Python's.
+
+    A finite non-negative value is scaled in long double by a power of
+    ten with a relative error below ``2**-62``, so below ``2**40`` it is
+    within ``2**-21`` of the exact product, and rounds as that does
+    unless it lies within ``2**-16`` of a tie. For ``e`` the power is
+    ``10**(P - E)`` with ``E = floor(log10(x))``, so the digits run from
+    ``10**P`` to ``10**(P+1)``, and ``10**(P+1)`` carries into ``E``.
+    """
+    bad = ~np.isfinite(x) | np.signbit(x)
+    value = np.where(bad, 0.0, x).astype(np.longdouble)
+    exponent = np.zeros(x.size, dtype=np.int64)
+    if kind == "e":
+        positive = value > 0
+        exponent[positive] = np.floor(np.log10(x[positive]))
+        scaled = value * _powers_of_ten(precision - exponent)
+    else:
+        scaled = value * np.longdouble(10) ** precision
+    # clipped first, so that every cast is exact; the clipped are bad
+    scaled = np.minimum(scaled, _SCALED_TOP)
+    whole = scaled.astype(np.int64)        # np.floor is slow in long double
+    rest = (scaled - whole).astype(np.float64)    # exact to 2**-54
+    bad |= (scaled == _SCALED_TOP) | (abs(rest - 0.5) <= _TIE)
+    digits = np.where(bad, 0, whole + (rest > 0.5))
+    if kind == "e":
+        # np.log10 misses E by one only so near a power of ten that the
+        # value rounds to it: to digits 10**P or 10**(P+1), both right
+        bad |= positive & ((digits < 10 ** precision)
+                           | (digits > 10 ** (precision + 1)))
+        carry = digits == 10 ** (precision + 1)
+        digits[carry] //= 10
+        exponent += carry
+    return digits, exponent, bad
+
+
+def _powers_of_ten(k: np.ndarray) -> np.ndarray:
+    """``10**k`` in long double for each int in ``k``."""
+    lowest = int(k.min(initial=0))
+    table = np.power(np.longdouble(10),
+                     np.arange(lowest, int(k.max(initial=0)) + 1))
+    return table[k - lowest]
 
 
 def load_trace(path: str) -> Workload:

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from proxysim.analytics import (BandwidthParams, ModelReport,
                                 aggregate_bandwidth, bandwidth_per_rank,
@@ -8,6 +11,7 @@ from proxysim.analytics import (BandwidthParams, ModelReport,
                                 top_c_mass_asymptotic, write_model_report_csv)
 from proxysim.popularity import build_catalog
 from proxysim.workload import ObjectAttributes, assign_attributes
+from tricky_numbers import FLOATS, columns
 
 
 def _attrs(sizes, times):
@@ -251,22 +255,33 @@ def _reference_model_report_csv(report, catalog):
     return "".join(lines)
 
 
-def test_model_report_csv_matches_reference_row_loop(tmp_path):
-    cat = build_catalog(6, 0.98)
-    by_hand = ModelReport(
-        per_rank_miss=np.array([0.0, 1e-300, 1.0, 5e-324, 1.0 / 3.0, 0.5]),
-        h_demand=np.float64(2.0 / 3.0), top_c_mass=0.0,
-        per_rank_bandwidth=np.array([1e300, np.inf, 0.0, 7.0, 1e-9, 2.5]),
-        aggregate_bandwidth=np.inf)
-    big = build_catalog(1000, 0.64)
-    modelled = model_report(big, assign_attributes(1000, seed=5),
-                            BandwidthParams(k=0.5, cache_capacity=50),
-                            10_000)
-    for report, catalog in ((by_hand, cat), (modelled, big)):
-        path = tmp_path / "model.csv"
-        write_model_report_csv(report, catalog, str(path))
-        assert path.read_bytes() == \
-            _reference_model_report_csv(report, catalog).encode()
+@settings(max_examples=200, deadline=None)
+@given(columns=columns(FLOATS, FLOATS, FLOATS))
+@example(columns=(build_catalog(6, 0.98).probabilities.tolist(),
+                  [0.0, 1e-300, 1.0, 5e-324, 1.0 / 3.0, 0.5],
+                  [1e300, np.inf, 0.0, 7.0, 1e-9, 2.5]))
+def test_model_report_csv_matches_reference_row_loop(tmp_path_factory,
+                                                     columns):
+    p, miss, bandwidth = map(np.array, columns)
+    report = ModelReport(
+        per_rank_miss=miss, h_demand=np.float64(2.0 / 3.0), top_c_mass=0.0,
+        per_rank_bandwidth=bandwidth, aggregate_bandwidth=np.inf)
+    # the writer reads a catalog's size and probabilities alone
+    catalog = SimpleNamespace(n_objects=p.size, probabilities=p)
+    path = tmp_path_factory.mktemp("model") / "model.csv"
+    write_model_report_csv(report, catalog, str(path))
+    assert path.read_bytes() == \
+        _reference_model_report_csv(report, catalog).encode()
+
+
+def test_modelled_report_csv_matches_reference_row_loop(tmp_path):
+    catalog = build_catalog(1000, 0.64)
+    report = model_report(catalog, assign_attributes(1000, seed=5),
+                          BandwidthParams(k=0.5, cache_capacity=50), 10_000)
+    path = tmp_path / "model.csv"
+    write_model_report_csv(report, catalog, str(path))
+    assert path.read_bytes() == \
+        _reference_model_report_csv(report, catalog).encode()
 
 
 @pytest.mark.parametrize("rate_convention", ["product", "ratio"])

@@ -457,9 +457,9 @@ def test_lru_brute_force_equivalence_random_traces():
         capacity = int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         ranks = rng.integers(1, n + 1, size=int(rng.integers(1, 51))).tolist()
-        # scaled past 255 and 65,535, ranks need 16- and 32-bit sort keys,
-        # and a narrower key would map them all to 0
-        for scale in (1, 256, 65_536):
+        # scaled past 255, 65,535 and 2**32 - 1, ranks need 16-, 32- and
+        # 64-bit sort keys, and a narrower key would map them all to 0
+        for scale in (1, 256, 65_536, 2**32 + 1):
             _assert_replay_matches("lru", ReferenceLru,
                                    [rank * scale for rank in ranks],
                                    [capacity, 1, n])
@@ -498,10 +498,11 @@ def _lane_starts(total, lanes):
            lambda n: st.lists(st.integers(1, n), min_size=1, max_size=60)),
        capacities=st.lists(st.integers(1, 10), min_size=1, max_size=4),
        lanes=st.sampled_from([1, 2, 3, 7, None]),
-       scale=st.sampled_from([1, 256, 65_536]))
+       scale=st.sampled_from([1, 256, 65_536, 2**32 + 1]))
 def test_lru_lanes_match_reference_property(ranks, capacities, lanes, scale):
     # capacities come unsorted, repeated and up to past every distinct
-    # rank; scaled past 255 and 65,535, ranks need wider sort keys
+    # rank; scaled past 255, 65,535 and 2**32 - 1, ranks need wider sort
+    # keys
     ranks = [rank * scale for rank in ranks]
     with pytest.MonkeyPatch.context() as patch:
         _force_lanes(patch, lanes)
@@ -542,6 +543,34 @@ def test_lru_flags_independent_of_lane_count(alpha):
             _force_lanes(patch, lanes)
             flags = [f.tolist() for f in replay("lru", requests, capacities)]
         assert flags == expected, lanes
+
+
+@pytest.mark.parametrize("dtype, group", [(np.int64, 8), (np.uint16, 2),
+                                          (np.uint8, 1)])
+def test_lru_capacities_step_in_groups_of_requests_bytes(dtype, group):
+    # a group's flags take no more bytes than the requests; the lists
+    # run past one group, unsorted and repeated, some past every rank
+    requests = generate_workload(build_catalog(200, 0.8), 20_000, 1000,
+                                 seed=23).requests.astype(dtype)
+    capacities = [50, 3, 1, 200, 50, 17, 120, 3, 9, 2, 64, 1000]
+    assert requests.itemsize == group
+    expected = [walk_lru_flags(requests.tolist(), c) for c in capacities]
+    for lanes in (None, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            _force_lanes(patch, lanes)
+            flags = [f.tolist() for f in replay("lru", requests, capacities)]
+        assert flags == expected, lanes
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 70_000),
+                     max_size=300))
+def test_stable_order_sorts_like_one_stable_argsort(keys):
+    # one stable pass per 16-bit digit, least significant first
+    keys = np.array(keys, dtype=np.uint64)
+    keys = keys.astype(np.min_scalar_type(keys.max(initial=0)))
+    assert np.array_equal(cache_module._stable_order(keys),
+                          np.argsort(keys, kind="stable"))
 
 
 @pytest.mark.parametrize("policy", ["session_lfu", "lru", "lfu_classic"])

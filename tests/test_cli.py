@@ -273,6 +273,26 @@ def test_failed_write_removes_every_output(tmp_path, capsys, monkeypatch,
     assert list(out_dir.iterdir()) == []
 
 
+def test_pooled_sweep_point_write_failing_in_a_worker_leaves_no_output(
+        tmp_path, capsys, monkeypatch):
+    # three alphas on two CPUs run in three workers, which stage each
+    # point's files under this process's temp names; a directory in the
+    # way of one fails its write inside a worker
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: 2)
+    out_dir = tmp_path / "out"
+    blocked = f"summary_a0.4_c8.json.tmp{os.getpid()}"
+    (out_dir / blocked).mkdir(parents=True)
+    assert main(["sweep", "--objects", "50", "--requests", "500",
+                 "--alphas", "0.9,0.4,0.2", "--capacities", "8",
+                 "--seed", "2", "--out-dir", str(out_dir)]) == 1
+    err = _assert_one_line_error(capsys, "proxysim sweep: error: ")
+    # the line names the output, not its temp file
+    assert str(out_dir / "summary_a0.4_c8.json") in err
+    assert ".tmp" not in err
+    assert [p.name for p in out_dir.iterdir()] == [blocked]
+    assert (out_dir / blocked).is_dir()
+
+
 def test_failed_write_names_the_output(tmp_path, capsys):
     # the output's directory is missing, so its write fails, not a rename
     out = tmp_path / "nodir" / "m.csv"

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy import stats
 
 from proxysim import simulator
@@ -14,6 +15,7 @@ from proxysim.simulator import (DEFAULT_ALPHAS, SimConfig, compare_analytic,
                                 write_summary_json)
 from proxysim.workload import (ObjectAttributes, Workload, assign_attributes,
                                generate_workload, rank_histogram)
+from tricky_numbers import FLOATS, INTS, columns
 
 
 def _config(**overrides):
@@ -164,6 +166,35 @@ def test_sweep_single_cpu_matches_pool(monkeypatch):
         assert np.array_equal(a.hits, b.hits)
         assert a.hit_ratio == b.hit_ratio
         assert a.config == b.config
+
+
+@pytest.mark.parametrize("cpus, alphas, workers", [
+    (2, (0.98, 0.64, 0.31), 3),
+    (2, DEFAULT_ALPHAS, 2),
+    (1, (0.98, 0.64, 0.31), None),
+])
+def test_sweep_gives_each_alpha_a_worker_while_alphas_are_few(
+        monkeypatch, cpus, alphas, workers):
+    # fewer alphas than twice the CPUs: a worker each; else one per CPU;
+    # one CPU: no pool at all
+    pools = []
+
+    class CountingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        CountingPool)
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: cpus)
+    reports = sweep(_config(alpha=alphas, total_requests=500))
+    assert len(reports) == len(alphas)
+    assert pools == ([] if workers is None else [workers])
 
 
 def test_hit_ratio_grows_with_capacity():
@@ -374,20 +405,29 @@ def _reference_report_csv(report):
     return "".join(lines)
 
 
-def test_report_csv_matches_reference_row_loop(tmp_path):
-    requests = np.array([0, 1, 7, 2 ** 40, 2 ** 62, 0, 3], dtype=np.int64)
-    hits = np.array([0, 0, 7, 2 ** 39, 2 ** 62 - 1, 0, 1], dtype=np.int64)
-    by_hand = simulator.SimReport(
-        requests=requests, hits=hits, misses=requests - hits,
-        imported_bandwidth=np.array([0.0, 1e-300, 1e300, np.inf, 5e-324,
-                                     0.0, 1.0 / 3.0]),
-        hit_ratio=0.5, miss_ratio=0.5, total_bandwidth=np.inf, config={})
-    simulated = run_simulation(_config(n_objects=1000, total_requests=20000,
-                                       cache_capacity=50))
-    for report in (by_hand, simulated):
-        path = tmp_path / "report.csv"
-        write_report_csv(report, str(path))
-        assert path.read_bytes() == _reference_report_csv(report).encode()
+@settings(max_examples=200, deadline=None)
+@given(columns=columns(INTS, INTS, INTS, FLOATS))
+@example(columns=([0, 1, 7, 2 ** 40, 2 ** 62, 0, 3],
+                  [0, 0, 7, 2 ** 39, 2 ** 62 - 1, 0, 1],
+                  [0, 1, 0, 2 ** 39, 1, 0, 2],
+                  [0.0, 1e-300, 1e300, np.inf, 5e-324, 0.0, 1.0 / 3.0]))
+def test_report_csv_matches_reference_row_loop(tmp_path_factory, columns):
+    requests, hits, misses, bandwidth = map(np.array, columns)
+    report = simulator.SimReport(
+        requests=requests, hits=hits, misses=misses,
+        imported_bandwidth=bandwidth, hit_ratio=0.5, miss_ratio=0.5,
+        total_bandwidth=np.inf, config={})
+    path = tmp_path_factory.mktemp("report") / "report.csv"
+    write_report_csv(report, str(path))
+    assert path.read_bytes() == _reference_report_csv(report).encode()
+
+
+def test_simulated_report_csv_matches_reference_row_loop(tmp_path):
+    report = run_simulation(_config(n_objects=1000, total_requests=20000,
+                                    cache_capacity=50))
+    path = tmp_path / "report.csv"
+    write_report_csv(report, str(path))
+    assert path.read_bytes() == _reference_report_csv(report).encode()
 
 
 def test_summary_json_contents(tmp_path):

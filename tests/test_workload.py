@@ -7,10 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from proxysim import workload as workload_module
 from proxysim.popularity import build_catalog
 from proxysim.workload import (_TRACE_CHUNK, TraceParseError, Workload,
-                               assign_attributes, generate_workload,
-                               load_trace, rank_histogram, save_trace)
+                               assign_attributes, format_rows,
+                               generate_workload, load_trace, rank_histogram,
+                               save_trace)
+from tricky_numbers import FLOATS, INTS, columns
 
 
 def test_single_object_workload_shape():
@@ -350,6 +353,19 @@ def test_save_trace_writes_reference_bytes(tmp_path_factory, size, tops,
     _reference_save(workload, folder / "old.trace")
     assert ((folder / "new.trace").read_bytes()
             == (folder / "old.trace").read_bytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=columns(INTS, FLOATS, FLOATS), wide=st.booleans())
+@example(drawn=([0, 1, 2**63 - 1], [0.0078125, 1.0078125, 0.5],
+                [12345678901.5, 1.00048828125, 1e-323]), wide=True)
+def test_format_rows_writes_the_bytes_of_percent(drawn, wide):
+    # without a long double of 64 significant bits, Python writes each row
+    template = "%d,%.6f,%.10e\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workload_module, "_WIDE", wide)
+        got = format_rows(template, [np.array(column) for column in drawn])
+    assert got == "".join(map(template.__mod__, zip(*drawn))).encode()
 
 
 def test_save_trace_refuses_what_load_trace_refuses(tmp_path):
