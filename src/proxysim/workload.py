@@ -59,17 +59,43 @@ class ObjectAttributes:
 
 @dataclass(frozen=True)
 class Workload:
-    """Request sequence with its nominal session size.
+    """Request sequence with its nominal session size, checked when it is
+    built as :func:`load_trace` checks a trace.
 
     Sessions are consecutive blocks of ``session_size`` requests, the
     last possibly shorter. They are bookkeeping only: no cache policy
-    depends on them, and the size is echoed into traces and reports as
-    given.
+    depends on them, and the size is echoed into traces and reports.
+    ``n_objects`` is an int in ``1..2**63 - 2`` and ``session_size`` one
+    ``>= 1``, both stored as Python ints, and ``requests`` a non-empty 1-d
+    int array of ranks in ``1..n_objects``, kept as given. Anything else is a
+    ``ValueError``, so every workload saves to a trace that loads back.
     """
 
     requests: np.ndarray
     session_size: int
     n_objects: int
+
+    def __post_init__(self) -> None:
+        for name, top in (("n_objects", _MAX_OBJECTS), ("session_size", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, np.integer))
+                    and 1 <= value <= (top or value)):
+                bounds = f"in 1..{top}" if top else ">= 1"
+                raise ValueError(
+                    f"{name} must be an int {bounds}, got {value}")
+            object.__setattr__(self, name, int(value))
+        requests = self.requests
+        if requests.ndim != 1:
+            raise ValueError(f"requests must be 1-d, got {requests.shape}")
+        if requests.dtype.kind not in "iu":
+            raise ValueError(f"requests must be ints, got {requests.dtype}")
+        if not requests.size:
+            raise ValueError("no requests in trace")
+        i = _first_outside(requests, self.n_objects)
+        if i is not None:
+            raise ValueError(f"requests[{i}] is {requests[i]}, "
+                             f"not a rank in 1..{self.n_objects}")
 
     @property
     def total_requests(self) -> int:
@@ -82,14 +108,9 @@ def generate_workload(
     """Draw ``total_requests`` i.i.d. ranks; deterministic per seed."""
     if total_requests < 1:
         raise ValueError(f"total_requests must be >= 1, got {total_requests}")
-    if session_size < 1:
-        raise ValueError(f"session_size must be >= 1, got {session_size}")
     rng = np.random.default_rng(seed)
-    return Workload(
-        requests=sample_ranks(catalog, total_requests, rng),
-        session_size=int(session_size),
-        n_objects=catalog.n_objects,
-    )
+    return Workload(requests=sample_ranks(catalog, total_requests, rng),
+                    session_size=session_size, n_objects=catalog.n_objects)
 
 
 def assign_attributes(
@@ -136,44 +157,22 @@ def rank_histogram(workload: Workload) -> np.ndarray:
 
 
 def save_trace(workload: Workload, path: str) -> None:
-    """Write a workload as a header line plus one rank per line.
-
-    Raises ``ValueError``, before the file is opened, if ``n_objects``
-    is not an int in ``1..2**63 - 2``, the session size not an int of at
-    least 1, the requests not ints or one not a rank in ``1..n_objects``,
-    which :func:`load_trace` would refuse.
-    """
-    requests, n_objects = workload.requests, workload.n_objects
-    for name, value, top in (("n_objects", n_objects, _MAX_OBJECTS),
-                             ("session_size", workload.session_size, None)):
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < 1 or (top is not None and value > top)):
-            bounds = f"in 1..{top}" if top else ">= 1"
-            raise ValueError(f"{name} must be an int {bounds}, got {value}")
-    if requests.dtype.kind not in "iu":
-        raise ValueError(f"requests must be ints, got {requests.dtype}")
-    i = _first_outside(requests, n_objects)
-    if i is not None:
-        raise ValueError(f"requests[{i}] is {requests[i]}, "
-                         f"not a rank in 1..{n_objects}")
+    """Write a workload as a header line plus one rank per line, a trace
+    that :func:`load_trace` reads back as the same workload."""
+    requests = workload.requests
     with open(path, "wb") as f:
-        f.write(f"#n_objects={n_objects} "
+        f.write(f"#n_objects={workload.n_objects} "
                 f"session={workload.session_size}\n".encode())
         for start in range(0, requests.size, _TRACE_CHUNK):
-            f.write(_rank_lines(requests[start:start + _TRACE_CHUNK]))
+            f.write(format_rows("%d\n",
+                                [requests[start:start + _TRACE_CHUNK]]))
 
 
 def _first_outside(requests: np.ndarray, n_objects: int) -> int | None:
     """The index of the first request not in ``1..n_objects``, or None."""
-    if not requests.size or (requests.min() >= 1
-                             and requests.max() <= n_objects):
+    if requests.min(initial=1) >= 1 and requests.max(initial=1) <= n_objects:
         return None
     return int(np.flatnonzero((requests < 1) | (requests > n_objects))[0])
-
-
-def _rank_lines(ranks: np.ndarray) -> bytes:
-    r"""``b"%d\n"`` of each positive rank, joined."""
-    return format_rows("%d\n", [ranks])
 
 
 def format_rows(template: str, columns: Sequence[np.ndarray]) -> bytes:
@@ -363,11 +362,11 @@ def load_trace(path: str) -> Workload:
         shown = line.decode("utf-8", "replace")
         raise TraceParseError(f"{path}: line {bad + 2}: not a rank in "
                               f"1..{n_objects}: {shown!r}")
-    if not requests.size:
-        raise TraceParseError(f"{path}: no requests in trace")
-
-    return Workload(requests=requests, session_size=session_size,
-                    n_objects=n_objects)
+    try:
+        return Workload(requests=requests, session_size=session_size,
+                        n_objects=n_objects)
+    except ValueError as exc:   # only a body with no ranks is left
+        raise TraceParseError(f"{path}: {exc}") from None
 
 
 def _scan_body(body: bytes) -> tuple[np.ndarray, int | None]:

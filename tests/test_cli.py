@@ -527,7 +527,7 @@ def test_run_trace_rejects_out_of_range_k(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("objects", "0", "n_objects must be >= 1, got 0"),
     ("requests", "0", "total_requests must be >= 1, got 0"),
-    ("session", "0", "session_size must be >= 1, got 0"),
+    ("session", "0", "session_size must be an int >= 1, got 0"),
     ("alpha", "-0.5", "alpha must be finite and >= 0, got -0.5"),
     ("k", "1.5", "k must be in [0, 1], got 1.5"),
     ("capacity", "0", "cache_capacity must be >= 1, got 0")])

@@ -447,6 +447,21 @@ def test_summary_json_contents(tmp_path):
     assert "elapsed" not in payload.get("totals", {})
 
 
+def test_numpy_int_workload_fields_write_a_summary(tmp_path):
+    # a Workload stores its numpy-int fields as Python ints, so the echo
+    # they enter stays JSON
+    workload = Workload(requests=np.array([1, 2, 1, 3]),
+                        session_size=np.int64(2), n_objects=np.int64(3))
+    report, = simulate_workload(workload, assign_attributes(3, seed=0), [1],
+                                "lru", 1.0, "product", {})
+    path = tmp_path / "summary.json"
+    write_summary_json(report, str(path))
+    payload = json.loads(path.read_text())
+    assert payload["config"]["n_objects"] == 3
+    assert payload["config"]["session_size"] == 2
+    assert payload["totals"]["total_requests"] == 4
+
+
 def test_comparison_csv_format(tmp_path):
     rows = compare_analytic(_config(cache_capacity=(5, 10),
                                     total_requests=1000))

@@ -297,15 +297,58 @@ def test_load_trace_agrees_with_reference_line_loop(trace_path, n_objects,
         assert load_trace(str(trace_path)).requests.tolist() == want
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 2**63 - 2).flatmap(lambda n: st.tuples(
-           st.just(n), st.lists(st.integers(1, n), min_size=1, max_size=300),
-           st.integers(1, 10**9))))
-def test_trace_save_load_round_trip(trace_path, case):
-    n_objects, ranks, session_size = case
-    saved = Workload(requests=np.array(ranks, dtype=np.int64),
-                     session_size=session_size, n_objects=n_objects)
+_BIG = 2**63 - 1   # one past the largest catalog a trace names
+_BAD_FIELDS = {"n_objects": [0, -1, _BIG, np.uint64(_BIG), np.int64(0),
+                             True, False, 3.0],
+               "session_size": [0, -2, True, 2.0, np.int32(0)]}
+
+
+@st.composite
+def _workload_fields(draw):
+    """Keyword arguments of a Workload: valid ones, numpy ints among them,
+    or, in half of the draws, with one field that load_trace refuses."""
+    n_objects = draw(st.integers(1, 40) | st.integers(1, _BIG - 1))
+    ranks = draw(st.lists(st.integers(1, n_objects), min_size=1,
+                          max_size=30))
+    dtype = draw(st.sampled_from([np.int64, np.uint64]))
+    fields = {"n_objects": n_objects,
+              "session_size": draw(st.integers(1, 10**9)),
+              "requests": np.array(ranks, dtype=dtype)}
+    for name in ("n_objects", "session_size"):
+        if draw(st.booleans()):
+            fields[name] = np.int64(fields[name])
+    bad = draw(st.sampled_from([None] * 3 + [*_BAD_FIELDS, "requests"]))
+    if bad == "requests":
+        at = draw(st.integers(0, len(ranks)))
+        fields[bad] = draw(st.sampled_from([
+            np.array([], dtype=np.int64), np.array(ranks, dtype=np.float64),
+            np.array(ranks, dtype=np.bool_), np.array([ranks]),
+            *(np.array(ranks[:at] + [rank] + ranks[at:])
+              for rank in (0, -1, n_objects + 1))]))
+    elif bad is not None:
+        fields[bad] = draw(st.sampled_from(_BAD_FIELDS[bad]))
+    return fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_workload_fields())
+def test_trace_save_load_round_trip(trace_path, fields):
+    # a Workload is built exactly when load_trace reads the trace that
+    # its fields spell, and then it round-trips through save_trace
+    n_objects, session_size = fields["n_objects"], fields["session_size"]
+    spelled = "".join([f"#n_objects={n_objects} session={session_size}\n",
+                       *(f"{rank}\n" for rank in fields["requests"].tolist())])
+    trace_path.write_text(spelled)
+    try:
+        saved = Workload(**fields)
+    except ValueError:
+        with pytest.raises(TraceParseError):
+            load_trace(str(trace_path))
+        return
+    assert type(saved.n_objects) is type(saved.session_size) is int
+    trace_path.unlink()   # so that the bytes read next are save_trace's
     save_trace(saved, str(trace_path))
+    assert trace_path.read_text() == spelled
     back = load_trace(str(trace_path))
     assert back.requests.dtype == np.int64
     assert np.array_equal(back.requests, saved.requests)
@@ -331,10 +374,10 @@ _RANK_TOPS = (st.sampled_from([1, 9, 10, 99, 100, 10**6, 10**18, 2**63 - 2])
 
 @settings(max_examples=40, deadline=None)
 @given(size=st.sampled_from([_TRACE_CHUNK - 1, _TRACE_CHUNK, _TRACE_CHUNK + 1,
-                             2 * _TRACE_CHUNK + 7]) | st.integers(0, 40),
+                             2 * _TRACE_CHUNK + 7]) | st.integers(1, 40),
        tops=st.lists(_RANK_TOPS, min_size=3, max_size=3),
        seed=st.integers(0, 2**32 - 1))
-@example(size=0, tops=[1, 1, 1], seed=0)
+@example(size=1, tops=[1, 1, 1], seed=0)
 @example(size=_TRACE_CHUNK + 1, tops=[9, 2**63 - 2, 1], seed=0)
 @example(size=2 * _TRACE_CHUNK + 7, tops=[99, 10**6, 10], seed=1)
 def test_save_trace_writes_reference_bytes(tmp_path_factory, size, tops,
@@ -374,14 +417,14 @@ def test_save_trace_refuses_what_load_trace_refuses(tmp_path):
             ([2, 0, -3], "requests[1] is 0, not a rank in 1..3"),
             ([1, 3, 4, 0], "requests[2] is 4, not a rank in 1..3"),
             ([-3], "requests[0] is -3, not a rank in 1..3"),
-            ([1.0, 2.0], "requests must be ints, got float64")):
+            ([1.0, 2.0], "requests must be ints, got float64"),
+            ([True], "requests must be ints, got bool"),
+            ([[1, 2]], "requests must be 1-d, got (1, 2)"),
+            (np.array([], dtype=np.int64), "no requests in trace")):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             save_trace(Workload(requests=np.array(requests), session_size=2,
                                 n_objects=3), str(path))
         assert not path.exists()
-    save_trace(Workload(requests=np.array([], dtype=np.int64),
-                        session_size=2, n_objects=3), str(path))
-    assert path.read_bytes() == b"#n_objects=3 session=2\n"
 
 
 def test_save_trace_refuses_header_fields_load_trace_refuses(tmp_path):
