@@ -416,8 +416,7 @@ class _LfuState(CacheState):
 
     def windows(self, end: int) -> tuple[int, int]:
         """Resolves requests up to ``end`` on a full cache a window at a
-        time, stopping early once swaps are dense; returns the numbers of
-        swaps and misses.
+        time; returns the numbers of swaps and misses.
 
         Within a window S is taken as fixed: a request in S hits, and a
         request outside S hits iff it repeats the previous request
@@ -433,10 +432,8 @@ class _LfuState(CacheState):
         members, tally, heap = self._members, self.tally, self._heap
         count_at = self._count_at
         at, width = self.at, self.width
-        # past this many swaps the span is dense even if every request misses
-        budget = 2 * (end - at) // _SWAP_COST
         swaps = misses_seen = 0
-        while at < end and swaps <= budget:
+        while at < end:
             stop = min(at + width, end)
             window = requests[at:stop]
             inside = members[window]

@@ -151,16 +151,17 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
 
 
 def _simulate_alpha(config: SimConfig) -> list[SimReport]:
-    """Draw the catalog, workload and attribute table of the config's
+    """Draw the catalog, attribute table and workload of the config's
     scalar alpha once and replay them at each of its capacities."""
     if isinstance(config.alpha, (tuple, list)):
         raise ValueError("needs a scalar alpha; use sweep() for lists")
     workload_seed, attr_seed = spawn_seeds(config.seed, 2)
     catalog = build_catalog(config.n_objects, config.alpha)
-    workload = generate_workload(catalog, config.total_requests,
-                                 config.session_size, workload_seed)
+    # the attribute table first: its ranges are checked before the draw
     attrs = assign_attributes(config.n_objects, config.size_range,
                               config.time_range, attr_seed)
+    workload = generate_workload(catalog, config.total_requests,
+                                 config.session_size, workload_seed)
     echo = {"alpha": config.alpha, "seed": config.seed,
             "workload_seed": workload_seed, "attr_seed": attr_seed,
             "size_range": list(config.size_range),

@@ -35,7 +35,6 @@ _WIDE = np.finfo(np.longdouble).nmant >= 63
 # the ASCII whitespace str.strip() drops
 _WS = b" \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
-_HEADER_WORD = re.compile(rb"[^%s]+" % re.escape(_WS))
 _HEADER_FIELDS = re.compile(rb"n_objects=(\d+) session=(\d+)")
 # the class of each body byte, a bytes.translate table; other is highest
 _SPACE, _DIGIT, _NEWLINE, _OTHER = range(4)
@@ -108,6 +107,8 @@ def generate_workload(
     """Draw ``total_requests`` i.i.d. ranks; deterministic per seed."""
     if total_requests < 1:
         raise ValueError(f"total_requests must be >= 1, got {total_requests}")
+    # the fields are checked before the draw, as those of one request
+    Workload(np.ones(1, dtype=np.int64), session_size, catalog.n_objects)
     rng = np.random.default_rng(seed)
     return Workload(requests=sample_ranks(catalog, total_requests, rng),
                     session_size=session_size, n_objects=catalog.n_objects)
@@ -328,10 +329,10 @@ def load_trace(path: str) -> Workload:
     header = header.removesuffix(b"\r")
     if not header.startswith(b"#"):
         raise TraceParseError(f"{path}: line 1: missing #n_objects header")
-    # sorted, the words must be exactly the two fields, so an unknown or
-    # repeated key fails, as does a value that is not ASCII digits
+    # split at the body's whitespace and sorted, the words must be the two
+    # fields exactly, so an unknown or repeated key or a non-digit value fails
     fields = _HEADER_FIELDS.fullmatch(
-        b" ".join(sorted(_HEADER_WORD.findall(header.lstrip(b"#")))))
+        b" ".join(sorted(header.lstrip(b"#").translate(_SPACES).split())))
     try:
         if fields is None:
             raise ValueError
@@ -339,11 +340,10 @@ def load_trace(path: str) -> Workload:
     except ValueError:   # int() also refuses more than 4300 digits
         shown = header.decode("utf-8", "replace")
         raise TraceParseError(f"{path}: line 1: malformed header {shown!r}")
-    if n_objects < 1 or session_size < 1:
-        raise TraceParseError(f"{path}: line 1: non-positive header fields")
-    if n_objects > _MAX_OBJECTS:
-        raise TraceParseError(
-            f"{path}: line 1: n_objects above {_MAX_OBJECTS}")
+    try:   # the header's fields, checked as those of one request
+        Workload(np.ones(1, dtype=np.int64), session_size, n_objects)
+    except ValueError as exc:
+        raise TraceParseError(f"{path}: line 1: {exc}") from None
 
     tokens, bad = _scan_body(body)
     # numpy takes \x1c-\x1f for data, and reads whitespace alone as [0]

@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from proxysim import cli, simulator
+from proxysim import cli, simulator, workload
 from proxysim.cli import main
+from proxysim.popularity import build_catalog
 from proxysim.simulator import (SimConfig, compare_analytic,
                                 write_comparison_csv)
+from test_tooling import _src_env
 
 
 def _gen_args(out, objects=1, requests=5, alpha=0.5, session=2, seed=7):
@@ -37,7 +39,7 @@ def test_gen_subprocess_end_to_end(tmp_path):
     out = tmp_path / "t.trace"
     proc = subprocess.run(
         [sys.executable, "-m", "proxysim"] + _gen_args(out),
-        capture_output=True, text=True)
+        env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
     assert out.read_text().splitlines()[1:] == ["1"] * 5
@@ -548,6 +550,36 @@ def test_bad_run_and_sweep_values_rejected(tmp_path, capsys, flag, value,
         assert not out_dir.exists()
 
 
+def test_bad_fields_refused_before_any_rank_is_drawn(tmp_path, capsys,
+                                                    monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("ranks drawn before the fields were checked")
+
+    monkeypatch.setattr(workload, "sample_ranks", no_draw)
+    catalog = build_catalog(20, 0.7)
+    with pytest.raises(ValueError,
+                       match="^session_size must be an int >= 1, got 0$"):
+        workload.generate_workload(catalog, 50, session_size=0, seed=3)
+    out = tmp_path / "out"
+    # one alpha, so that sweep runs in this process
+    point = ["--objects", "20", "--requests", "50", "--seed", "3"]
+    run = ["run", *point, "--alpha", "0.7", "--capacity", "5",
+           "--out-dir", str(out)]
+    swp = ["sweep", *point, "--alphas", "0.7", "--capacities", "5",
+           "--out-dir", str(out)]
+    session = "session_size must be an int >= 1, got 0"
+    sizes = "size_range lower bound must be > 0, got 0.0"
+    for argv, message in (
+            (_gen_args(out, objects=20, requests=50, session=0), session),
+            ([*run, "--session", "0"], session),
+            ([*swp, "--session", "0"], session),
+            ([*run, "--sizes", "0,1"], sizes),
+            ([*swp, "--sizes", "0,1"], sizes)):
+        assert main(argv) == 1, argv
+        _assert_one_line_error(capsys, message)
+        assert not out.exists()
+
+
 def test_negative_seed_rejected_by_every_command(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     assert main(_gen_args(trace, objects=10, requests=50)) == 0
@@ -785,7 +817,8 @@ def test_overflowing_bandwidth_prints_one_line_in_a_real_process(tmp_path):
         [sys.executable, "-m", "proxysim", "run", "--objects", "10",
          "--requests", "10", "--alpha", "0.7", "--capacity", "2",
          "--sizes", "1e308,1e308", "--times", "10,10", "--seed", "1",
-         "--out-dir", str(out)], capture_output=True, text=True)
+         "--out-dir", str(out)], env=_src_env(), capture_output=True,
+        text=True)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "proxysim run: error: total bandwidth is nan: size_range and "

@@ -210,10 +210,14 @@ def test_trace_empty_or_headerless_rejected(tmp_path):
     header_only.write_text("#n_objects=3 session=2\n")
     with pytest.raises(TraceParseError):
         load_trace(str(header_only))
-    for header in ("#n_objects=0 session=2", "#n_objects=3 session=0"):
+    for header, message in (
+            ("#n_objects=0 session=2",
+             "n_objects must be an int in 1..9223372036854775806, got 0"),
+            ("#n_objects=3 session=0",
+             "session_size must be an int >= 1, got 0")):
         header_only.write_text(header + "\n1\n")
-        with pytest.raises(TraceParseError,
-                           match="line 1: non-positive header fields"):
+        with pytest.raises(TraceParseError, match=re.escape(
+                f"line 1: {message}") + "$"):
             load_trace(str(header_only))
 
 
@@ -456,7 +460,9 @@ def test_load_trace_refuses_a_catalog_a_saturated_rank_fits(tmp_path):
     path.write_bytes(b"#n_objects=9223372036854775807 session=2\n"
                      b"99999999999999999999\n")
     with pytest.raises(TraceParseError,
-                       match="line 1: n_objects above 9223372036854775806$"):
+                       match="line 1: n_objects must be an int in "
+                             r"1\.\.9223372036854775806, "
+                             "got 9223372036854775807$"):
         load_trace(str(path))
     path.write_bytes(b"#n_objects=9223372036854775806 session=2\n"
                      b"5\n99999999999999999999\n")
