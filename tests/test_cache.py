@@ -1,3 +1,9 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,12 +102,24 @@ def _hits(reference, ranks):
     return [hit for hit, _ in _outcomes(reference, ranks)]
 
 
+def _replays(policy, requests, capacities):
+    """``replay``'s flags as lists, once through the compiled kernel and
+    once through the Python replay, which ``replay`` takes when the
+    kernel loader finds none."""
+    kernel = [f.tolist() for f in replay(policy, requests, capacities)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache_module, "_kernel", lambda: None)
+        python = [f.tolist() for f in replay(policy, requests, capacities)]
+    return kernel, python
+
+
 def _assert_replay_matches(policy, reference, ranks, capacities):
-    """``replay`` at every capacity equals a fresh reference cache."""
-    flags = list(replay(policy, np.array(ranks), capacities))
-    assert len(flags) == len(capacities)
-    for capacity, hits in zip(capacities, flags):
-        assert hits.tolist() == _hits(reference(capacity), ranks), capacity
+    """``replay`` at every capacity, on both paths, equals a fresh
+    reference cache."""
+    for flags in _replays(policy, np.array(ranks), capacities):
+        assert len(flags) == len(capacities)
+        for capacity, hits in zip(capacities, flags):
+            assert hits == _hits(reference(capacity), ranks), capacity
 
 
 def _replay(policy, capacity, workload):
@@ -178,8 +196,8 @@ def test_single_object_one_cold_miss():
     assert _outcomes(CacheState(1), [1] * 20) == expected
     assert _outcomes(ReferenceLru(1), [1] * 20) == expected
     for policy in ("session_lfu", "lru", "lfu_classic"):
-        assert next(replay(policy, np.ones(20, dtype=np.int64),
-                           [1])).tolist() == [False] + [True] * 19
+        assert _replays(policy, np.ones(20, dtype=np.int64), [1]) == (
+            [[False] + [True] * 19],) * 2
 
 
 def test_lfu_classic_equals_session_size_one():
@@ -208,8 +226,9 @@ def test_lru_differs_from_lfu_where_expected():
     assert lfu_out[3] == (False, 2)
     # a request for 1 now tells them apart: LRU misses, LFU hits
     ranks = [1, 1, 2, 3, 1]
-    assert not next(replay("lru", np.array(ranks), [2]))[4]
-    assert next(replay("lfu_classic", np.array(ranks), [2]))[4]
+    for (lru,), (lfu,) in zip(_replays("lru", np.array(ranks), [2]),
+                              _replays("lfu_classic", np.array(ranks), [2])):
+        assert not lru[4] and lfu[4]
     _assert_replay_matches("lru", ReferenceLru, ranks, [2])
 
 
@@ -218,8 +237,8 @@ def test_lru_recency_order():
     out = _outcomes(ReferenceLru(2), ranks)
     # rank 1 touched after 2, so 2 is the LRU victim
     assert out[3] == (False, 2)
-    assert next(replay("lru", np.array(ranks), [2])).tolist() == [
-        False, False, True, False, False, False]
+    assert _replays("lru", np.array(ranks), [2]) == (
+        [[False, False, True, False, False, False]],) * 2
     _assert_replay_matches("lru", ReferenceLru, ranks, [1, 2, 3])
 
 
@@ -287,105 +306,41 @@ def test_brute_force_equivalence_random_traces():
 
 @pytest.mark.parametrize("width", [1, 7, 50])
 def test_lfu_replay_window_boundaries_match_reference(monkeypatch, width):
-    # LFU replay fills the cache a span at a time, then resolves
-    # requests a window at a time and checks its swap rate once per span;
-    # none of these boundaries may change a single flag
-    monkeypatch.setattr(cache_module, "_FIRST_WINDOW", width)
-    monkeypatch.setattr(cache_module, "_SPAN", 2 * width + 1)
+    # the Python replay turns the trace into Python lists a window at a
+    # time; no window boundary may change a single flag
+    monkeypatch.setattr(cache_module, "_WINDOW", width)
     ranks = generate_workload(build_catalog(30, 0.7), 200, 200,
                               seed=width).requests.tolist()
     _assert_replay_matches("session_lfu", ReferenceCache, ranks, [1, 5, 30])
 
 
-def _count_switches(monkeypatch):
-    """Counts of the LFU replay's switches from windows to per-request
-    resolution and back, once the cache is full."""
-    calls = {"scalar": 0, "windows": 0}
-    last = {}                     # replay state -> its last method
-    for name in calls:
-        method = getattr(cache_module._LfuState, name)
-
-        def spy(state, *args, name=name, method=method):
-            if len(state) == state.capacity:  # the fill is not a switch
-                if last.get(state, "windows") != name:
-                    calls[name] += 1
-                last[state] = name
-            return method(state, *args)
-        monkeypatch.setattr(cache_module._LfuState, name, spy)
-    return calls
-
-
 @settings(max_examples=300, deadline=None)
 @given(ranks=st.integers(1, 8).flatmap(
            lambda n: st.lists(st.integers(1, n), min_size=1, max_size=80)),
-       capacity=st.integers(1, 4), width=st.integers(1, 4),
-       span=st.integers(1, 16), swap_cost=st.sampled_from([1, 4, 16, 100]))
-def test_lfu_replay_matches_reference_property(ranks, capacity, width, span,
-                                               swap_cost):
-    # small windows and spans put swaps in mid-window, let the upper
-    # bound pass pending ranks that then lose, and switch the replay to
-    # per-request resolution and back many times within one short trace
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cache_module, "_FIRST_WINDOW", width)
-        patch.setattr(cache_module, "_SPAN", span)
-        patch.setattr(cache_module, "_SWAP_COST", swap_cost)
-        _assert_replay_matches("session_lfu", ReferenceCache, ranks,
-                               [capacity])
-
-
-def test_lfu_replay_switches_to_scalar_and_back(monkeypatch):
-    # a swap every few requests is dense at any swap cost above a few
-    # hits, so the replay resolves requests one at a time and, once a
-    # span of hits follows, goes back to windows; a short fill span
-    # leaves the dense requests to the full cache
-    monkeypatch.setattr(cache_module, "_FIRST_WINDOW", 2)
-    monkeypatch.setattr(cache_module, "_SPAN", 8)
-    calls = _count_switches(monkeypatch)
-    ranks = [1, 2, 3, 1, 2, 3, 3, 1, 2, 2] * 4 + [1, 1] * 20 + [3, 2] * 8
-    _assert_replay_matches("session_lfu", ReferenceCache, ranks, [2])
-    assert calls["scalar"] and calls["windows"]
+       capacity=st.integers(1, 4),
+       scale=st.sampled_from([1, 256, 65_536, 2**32 + 1]))
+def test_lfu_replay_matches_reference_property(ranks, capacity, scale):
+    # scaled past the number of requests, ranks are renumbered densely
+    # before the replay
+    _assert_replay_matches("session_lfu", ReferenceCache,
+                           [rank * scale for rank in ranks],
+                           [capacity, 1, 9])
 
 
 @pytest.mark.parametrize("ranks, capacity", [
-    ([2, 1, 2, 2, 3, 1, 1, 3, 3, 2], 1),   # S is empty: hit iff a repeat
+    ([2, 1, 2, 2, 3, 1, 1, 3, 3, 2], 1),   # hit iff a repeat
     ([5, 3, 5, 4, 3, 4], 3),               # never full
     ([5, 3, 5, 4, 3, 4], 4),
     ([1, 2, 1, 3, 3, 2, 1], 3),            # full at the last new rank
-    # at the miss on 3, pending 2 is bounded by 4, as it comes twice
-    # more, against 2 for S = {1}, but its count is 1: a candidate that
-    # loses. The miss on 4 swaps 2 in mid-window, and the last two
-    # misses swap in pending ranks that tie the older entry in S.
+    # the miss on 3 evicts 2, at count 1 against 1's 2; the miss on 4
+    # evicts 1, which the re-admitted 2 has passed; the last two misses
+    # evict the older of two entries at equal counts
     ([1, 1, 2, 3, 2, 2, 4, 4, 4, 1, 2], 2),
+    # a swap every few requests, then a run of hits, then swaps again
+    ([1, 2, 3, 1, 2, 3, 3, 1, 2, 2] * 4 + [1, 1] * 20 + [3, 2] * 8, 2),
 ])
 def test_lfu_replay_edge_traces(ranks, capacity):
     _assert_replay_matches("session_lfu", ReferenceCache, ranks, [capacity])
-
-
-def test_lfu_replay_windows_only_on_a_full_cache(monkeypatch):
-    # the fill crosses many spans of _SPAN requests; windows assume S has
-    # capacity - 1 members, so none may start before that, and a cache
-    # the trace never fills runs no window at all
-    monkeypatch.setattr(cache_module, "_FIRST_WINDOW", 4)
-    monkeypatch.setattr(cache_module, "_SPAN", 16)
-    fill_chunks, windowed = [], set()
-    for name in ("scalar", "windows"):
-        method = getattr(cache_module._LfuState, name)
-
-        def spy(state, end, name=name, method=method):
-            if len(state) < state.capacity:
-                assert name == "scalar"
-                fill_chunks.append(end)
-            if name == "windows":
-                windowed.add(state.capacity)
-            return method(state, end)
-        monkeypatch.setattr(cache_module._LfuState, name, spy)
-    ranks = generate_workload(build_catalog(100, 0.5), 2000, 2000,
-                              seed=5).requests.tolist()
-    never_full = len(set(ranks)) + 1
-    _assert_replay_matches("session_lfu", ReferenceCache, ranks,
-                           [1, 30, 60, never_full])
-    assert len(fill_chunks) > 5
-    assert windowed == {1, 30, 60}
 
 
 def test_cache_state_rejects_negative_ranks():
@@ -407,18 +362,15 @@ def test_cache_state_grows_for_large_ranks():
     assert 20_000 not in cache and 30_000 not in cache and -1 not in cache
 
 
-def test_lfu_replay_equals_cache_state_on_zipf_trace(monkeypatch):
-    # at C=1000 swaps are dense early on, so the replay resolves requests
-    # one at a time for a while; at C=1 and C=10 windows do all the work
-    calls = _count_switches(monkeypatch)
+def test_lfu_replay_equals_cache_state_on_zipf_trace():
     ranks = generate_workload(build_catalog(5000, 0.64), 100_000, 1000,
                               seed=7).requests
     capacities = [1, 10, 100, 1000]
-    for capacity, flags in zip(capacities,
-                               replay("session_lfu", ranks, capacities)):
+    expected = []
+    for capacity in capacities:
         access = CacheState(capacity).access
-        assert flags.tolist() == [access(r)[0] for r in ranks.tolist()]
-    assert calls["scalar"]
+        expected.append([access(r)[0] for r in ranks.tolist()])
+    assert _replays("session_lfu", ranks, capacities) == (expected,) * 2
 
 
 def test_brute_force_equivalence_with_warm_start():
@@ -448,7 +400,8 @@ def test_brute_force_equivalence_zipf_traces(alpha, capacity, warm):
                              for rank, seq in ref.resident.items()}
     if not warm:                          # replay starts cold
         _assert_replay_matches("lfu_classic", ReferenceCache, ranks,
-                               [capacity, 1, len(set(ranks))])
+                               [capacity, 1, len(set(ranks)),
+                                len(set(ranks)) + 1])
 
 
 def test_lru_brute_force_equivalence_random_traces():
@@ -481,103 +434,144 @@ def test_lru_brute_force_equivalence_zipf_traces(alpha, capacity):
                            [capacity, 1, len(set(ranks))])
 
 
-def _force_lanes(patch, lanes):
-    """Makes the LRU replay cut every trace into ``lanes`` lanes; None
-    keeps the derived count."""
-    if lanes is not None:
-        patch.setattr(cache_module, "_lane_count", lambda total, top: lanes)
-
-
-def _lane_starts(total, lanes):
-    """The first request of each lane, as the replay cuts the trace."""
-    return [k * total // lanes for k in range(lanes)]
-
-
 @settings(max_examples=400, deadline=None)
 @given(ranks=st.integers(1, 8).flatmap(
            lambda n: st.lists(st.integers(1, n), min_size=1, max_size=60)),
        capacities=st.lists(st.integers(1, 10), min_size=1, max_size=4),
-       lanes=st.sampled_from([1, 2, 3, 7, None]),
        scale=st.sampled_from([1, 256, 65_536, 2**32 + 1]))
-def test_lru_lanes_match_reference_property(ranks, capacities, lanes, scale):
+def test_lru_replay_matches_reference_property(ranks, capacities, scale):
     # capacities come unsorted, repeated and up to past every distinct
-    # rank; scaled past 255, 65,535 and 2**32 - 1, ranks need wider sort
-    # keys
-    ranks = [rank * scale for rank in ranks]
-    with pytest.MonkeyPatch.context() as patch:
-        _force_lanes(patch, lanes)
-        _assert_replay_matches("lru", ReferenceLru, ranks, capacities)
+    # rank; scaled past the number of requests, ranks are renumbered
+    # densely before the replay
+    _assert_replay_matches("lru", ReferenceLru,
+                           [rank * scale for rank in ranks], capacities)
+
+
+@pytest.mark.parametrize("ranks, capacity", [
+    ([2, 1, 2, 2, 3, 1, 1, 3, 3, 2], 1),   # every miss evicts the head
+    ([5, 3, 5, 4, 3, 4], 3),               # never full
+    ([1, 2, 1, 3, 3, 2, 1], 3),            # full at the last new rank
+    ([1, 2, 3, 1, 2, 3, 1], 3),            # each hit is on the tail
+    ([1, 2, 3, 2, 2, 3, 4, 3, 1, 4], 3),   # hits on the head and the middle
+    ([1, 2, 3, 4, 3, 1, 4, 2, 2, 3], 2),   # a hit on the LRU end
+])
+def test_lru_replay_edge_traces(ranks, capacity):
+    _assert_replay_matches("lru", ReferenceLru, ranks, [capacity])
 
 
 @pytest.mark.parametrize("start", [3, 4, 5, 6])
-def test_lru_lane_starts_around_fill(monkeypatch, start):
-    # at C=3 the third distinct rank comes at request 4; with 7 lanes of
-    # `start` requests the second lane starts before, at, one past and
-    # two past that fill
+def test_lru_lane_starts_around_fill(start):
+    # at C=3 the third distinct rank comes at request 4; random tails of
+    # 7 * `start` - 5 requests follow that fill. The name dates from the
+    # lane replay, whose second lane started at request `start`.
     tail = np.random.default_rng(start).integers(1, 6, 7 * start - 5)
     ranks = [1, 1, 2, 1, 3, *tail.tolist()]
-    assert _lane_starts(len(ranks), 7)[1] == start
-    _force_lanes(monkeypatch, 7)
+    assert len(ranks) == 7 * start
     _assert_replay_matches("lru", ReferenceLru, ranks, [3, 2, 3, 6])
 
 
-def test_lru_lane_starts_on_a_rerequest_of_its_lru_end(monkeypatch):
+def test_lru_lane_starts_on_a_rerequest_of_its_lru_end():
     # at C=2, before request 4 the cache holds ranks 3 and 4 and its LRU
-    # end is request 2; the lane that starts at request 4 asks for rank
-    # 3 again, a hit on the LRU end itself, which then lags
+    # end is request 2; request 4 asks for rank 3 again, a hit on the
+    # LRU end itself. The name dates from the lane replay, whose second
+    # lane started at that request.
     tail = np.random.default_rng(4).integers(1, 6, 23)
     ranks = [1, 2, 3, 4, 3, *tail.tolist()]
-    assert _lane_starts(len(ranks), 7)[1] == 4
-    _force_lanes(monkeypatch, 7)
     _assert_replay_matches("lru", ReferenceLru, ranks, [2])
 
 
+@pytest.mark.parametrize("width", [1, 7, 50])
+def test_lru_replay_window_boundaries_match_reference(monkeypatch, width):
+    monkeypatch.setattr(cache_module, "_WINDOW", width)
+    ranks = generate_workload(build_catalog(30, 0.7), 200, 200,
+                              seed=width).requests.tolist()
+    _assert_replay_matches("lru", ReferenceLru, ranks, [1, 5, 30])
+
+
 @pytest.mark.parametrize("alpha", [0.98, 0.31])
-def test_lru_flags_independent_of_lane_count(alpha):
+def test_lru_flags_match_pointer_walk_on_zipf_traces(alpha):
     requests = generate_workload(build_catalog(10_000, alpha), 200_000,
                                  1000, seed=21).requests
     capacities = [5000, 10, 1000, 100]
     expected = [walk_lru_flags(requests.tolist(), c) for c in capacities]
-    for lanes in (None, 31, 2000):
-        with pytest.MonkeyPatch.context() as patch:
-            _force_lanes(patch, lanes)
-            flags = [f.tolist() for f in replay("lru", requests, capacities)]
-        assert flags == expected, lanes
+    assert _replays("lru", requests, capacities) == (expected,) * 2
 
 
-@pytest.mark.parametrize("dtype, group", [(np.int64, 8), (np.uint16, 2),
-                                          (np.uint8, 1)])
-def test_lru_capacities_step_in_groups_of_requests_bytes(dtype, group):
-    # a group's flags take no more bytes than the requests; the lists
-    # run past one group, unsorted and repeated, some past every rank
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint8])
+def test_lru_replay_takes_any_int_dtype(dtype):
+    # the lists run unsorted and repeated, some past every rank
     requests = generate_workload(build_catalog(200, 0.8), 20_000, 1000,
                                  seed=23).requests.astype(dtype)
     capacities = [50, 3, 1, 200, 50, 17, 120, 3, 9, 2, 64, 1000]
-    assert requests.itemsize == group
     expected = [walk_lru_flags(requests.tolist(), c) for c in capacities]
-    for lanes in (None, 7):
-        with pytest.MonkeyPatch.context() as patch:
-            _force_lanes(patch, lanes)
-            flags = [f.tolist() for f in replay("lru", requests, capacities)]
-        assert flags == expected, lanes
-
-
-@settings(max_examples=100, deadline=None)
-@given(keys=st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 70_000),
-                     max_size=300))
-def test_stable_order_sorts_like_one_stable_argsort(keys):
-    # one stable pass per 16-bit digit, least significant first
-    keys = np.array(keys, dtype=np.uint64)
-    keys = keys.astype(np.min_scalar_type(keys.max(initial=0)))
-    assert np.array_equal(cache_module._stable_order(keys),
-                          np.argsort(keys, kind="stable"))
+    assert _replays("lru", requests, capacities) == (expected,) * 2
+    # a strided view replays like its copy
+    assert _replays("lru", requests[::2], capacities[:3]) == (
+        [walk_lru_flags(requests[::2].tolist(), c)
+         for c in capacities[:3]],) * 2
 
 
 @pytest.mark.parametrize("policy", ["session_lfu", "lru", "lfu_classic"])
 def test_replay_one_request(policy):
-    assert [f.tolist() for f in replay(policy, np.array([3]), [1, 2])] == [
-        [False], [False]]
+    assert _replays(policy, np.array([3]), [1, 2]) == ([[False], [False]],) * 2
     with pytest.raises(ValueError):
         replay(policy, np.array([3]), [1, 0])
     with pytest.raises(ValueError):                 # past the fill point too
         replay(policy, np.array([2, 3, 2, -1]), [1])
+
+
+def _replay_in_subprocess(cache_home):
+    """Starts a fresh interpreter that replays a Zipf trace under both
+    policies with ``cache_home`` as XDG_CACHE_HOME; it prints whether the
+    compiled kernel loaded, then whether its flags equal the Python
+    replay's."""
+    probe = """if True:
+        import numpy as np
+        from proxysim import cache
+        from proxysim.popularity import build_catalog
+        from proxysim.workload import generate_workload
+        ranks = generate_workload(build_catalog(500, 0.7), 20_000, 1000,
+                                  seed=9).requests
+        flags = [[f.tolist() for f in cache.replay(p, ranks, [1, 30, 600])]
+                 for p in ("lru", "session_lfu")]
+        print(cache._kernel() is not None)
+        cache._kernel = lambda: None
+        print(flags == [[f.tolist() for f in cache.replay(p, ranks,
+                                                          [1, 30, 600])]
+                        for p in ("lru", "session_lfu")])
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache_home),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-c", probe], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def _built(cache_home):
+    """The files that builds left in ``cache_home``'s proxysim folder."""
+    return sorted(p.name for p in (cache_home / "proxysim").iterdir())
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_replay_kernel_loads_where_cc_is_on_path(tmp_path):
+    proc = _replay_in_subprocess(tmp_path)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out.split() == ["True", "True"]
+    built, = _built(tmp_path)
+    assert built.startswith("replay-") and built.endswith(".so")
+
+
+def test_replay_builds_at_once_share_one_cache_folder(tmp_path):
+    # two fresh interpreters build into one empty folder at the same
+    # time; each renames its own whole build into place
+    procs = [_replay_in_subprocess(tmp_path) for _ in range(2)]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (out, err) in zip(procs, outs):
+        assert proc.returncode == 0, err
+        assert out.split()[1] == "True"
+    if shutil.which("cc") is not None:
+        assert [out.split()[0] for out, _ in outs] == ["True", "True"]
+        assert len(_built(tmp_path)) == 1

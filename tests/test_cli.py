@@ -516,6 +516,21 @@ def test_run_trace_rejects_loose_header(tmp_path, capsys):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--sizes", "size_range lower bound must be > 0, got 0.0"),
+    ("--times", "time_range lower bound must be > 0, got 0.0")])
+def test_run_trace_rejects_bad_ranges_before_reading(tmp_path, capsys, flag,
+                                                     message):
+    # the body is malformed, so reading the trace would fail on it
+    trace = tmp_path / "t.trace"
+    trace.write_bytes(b"#n_objects=5 session=2\n1\nx\n")
+    out_dir = tmp_path / "run"
+    assert main(["run", "--trace", str(trace), "--capacity", "1",
+                 "--seed", "3", flag, "0,1", "--out-dir", str(out_dir)]) == 1
+    _assert_one_line_error(capsys, message)
+    assert not out_dir.exists()
+
+
 def test_run_trace_rejects_out_of_range_k(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     assert main(_gen_args(trace, objects=10, requests=50)) == 0

@@ -49,6 +49,20 @@ def test_cli_import_loads_no_process_pool():
     assert _modules_after_cli_import("concurrent", "multiprocessing") == "[]"
 
 
+def test_cli_import_builds_no_replay_kernel(tmp_path):
+    # the replay kernel is built and loaded through ctypes by the first
+    # replay, so an import pays for neither; numpy imports ctypes itself,
+    # so the probe asks whether the loader ran
+    probe = ("import proxysim.cli, proxysim.cache as c; "
+             "print(c._kernel.cache_info().currsize, 'ctypes' in vars(c))")
+    env = dict(_src_env(), XDG_CACHE_HOME=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_package_exports_match_all():
     # __all__ and the names the package binds are one list: each entry
     # resolves, and each public name bound is listed
