@@ -3,23 +3,25 @@
     python3 demos/replacement_policies.py
 """
 
-from proxysim.cache import CacheState
+import numpy as np
+
+from proxysim.cache import replay
 from proxysim.popularity import build_catalog
 from proxysim.simulator import simulate_workload
 from proxysim.workload import assign_attributes, generate_workload
 
 
 def walkthrough():
-    """Trace a two-slot cache by hand, printing every step."""
-    cache = CacheState(2, warm=[1, 2])
-    print("warm cache C=2 holding ranks 1 and 2, hit counts start at 0")
-    for rank in (1, 3, 1):
-        hit, evicted = cache.access(rank)
-        what = "hit " if hit else "miss"
-        tail = f", evicted {evicted}" if evicted else ""
-        print(f"  request {rank}: {what}{tail}")
-    print(f"final entries (rank: hit count): "
-          f"{ {r: c for r, (c, _) in cache.entries.items()} }")
+    """Trace a cold two-slot cache by hand under both kinds of policy."""
+    ranks = np.array([1, 1, 2, 3, 1, 2])
+    print(f"cold cache C=2, requests {ranks.tolist()}")
+    for policy in ("session_lfu", "lru"):
+        flags, = replay(policy, ranks, [2])
+        marks = " ".join("hit " if hit else "miss" for hit in flags)
+        print(f"  {policy:12s} {marks}")
+    print("the miss on 3 evicts 2 under session_lfu (count 1 against 1's")
+    print("2), but 1 under lru (used before 2), so only lru misses on the")
+    print("next request for 1")
     print()
 
 

@@ -4,7 +4,7 @@ from .analytics import (BandwidthParams, ModelReport, aggregate_bandwidth,
                         bandwidth_per_rank, hit_miss_on_demand,
                         miss_probability, model_report, top_c_mass,
                         top_c_mass_asymptotic)
-from .cache import POLICIES, CacheState
+from .cache import POLICIES
 from .popularity import (ZipfCatalog, build_catalog, generalized_harmonic,
                          power_modulus, probability, sample_ranks,
                          zeta_partial_terms)
@@ -18,7 +18,7 @@ from .workload import (ObjectAttributes, TraceParseError, Workload,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandwidthParams", "CacheState", "CapacityComparison", "DEFAULT_ALPHAS",
+    "BandwidthParams", "CapacityComparison", "DEFAULT_ALPHAS",
     "ModelReport", "ObjectAttributes", "POLICIES", "SimConfig", "SimReport",
     "TraceParseError", "Workload", "ZipfCatalog",
     "aggregate_bandwidth", "assign_attributes", "bandwidth_per_rank",

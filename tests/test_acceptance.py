@@ -11,10 +11,11 @@ import io
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
+from proxysim import cache
 from proxysim.analytics import top_c_mass
-from proxysim.cache import CacheState, replay
 from proxysim.cli import main as cli_main
 from proxysim.popularity import build_catalog, zeta_partial_terms
 from proxysim.simulator import (SimConfig, fit_power_law, run_simulation,
@@ -81,33 +82,34 @@ class _Reference:
         return False, evicted
 
 
+def _replay_both_paths(requests, capacity):
+    """``replay``'s session-LFU flags, as lists, from the compiled kernel
+    and from the Python loop that runs where the kernel cannot load."""
+    kernel, = cache.replay("session_lfu", requests, [capacity])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache, "_kernel", lambda: None)
+        python, = cache.replay("session_lfu", requests, [capacity])
+    return kernel.tolist(), python.tolist()
+
+
 def test_criterion_3_oracle_equivalence():
-    # CacheState is the LFU state itself; replay is what run and sweep use
-    state_mismatches = replay_mismatches = 0
+    # replay is what run and sweep use, on either of its two paths
+    kernel_mismatches = python_mismatches = 0
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         capacity = int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         total = int(rng.integers(1, 51))
         requests = rng.integers(1, n + 1, size=total)
-        ranks = requests.tolist()
-        cache = CacheState(capacity)
         ref = _Reference(capacity)
-        for r in ranks:
-            if cache.access(r) != ref.access(r):
-                state_mismatches += 1
-                break
-        else:
-            if set(cache.entries) != set(ref.resident):
-                state_mismatches += 1
-        flags = next(replay("session_lfu", requests, [capacity]))
-        ref = _Reference(capacity)
-        if flags.tolist() != [ref.access(r)[0] for r in ranks]:
-            replay_mismatches += 1
-    _verdict(3, state_mismatches == replay_mismatches == 0,
+        hits = [ref.access(r)[0] for r in requests.tolist()]
+        kernel, python = _replay_both_paths(requests, capacity)
+        kernel_mismatches += kernel != hits
+        python_mismatches += python != hits
+    _verdict(3, kernel_mismatches == python_mismatches == 0,
              f"traces=1000 C<=4 N<=8 R<=50 "
-             f"CacheState mismatches={state_mismatches} "
-             f"replay mismatches={replay_mismatches}")
+             f"kernel replay mismatches={kernel_mismatches} "
+             f"Python replay mismatches={python_mismatches}")
 
 
 def test_criterion_4_log_like_hit_ratio_growth():
@@ -201,16 +203,21 @@ def test_criterion_8_invariant_suites(tmp_path):
         if int(report.requests.sum()) != config.total_requests:
             problems.append(("conservation-total", seed))
 
-    # capacity safety of the LFU cache after every access
+    # capacity safety of the LFU cache: replay, on both paths, equals a
+    # reference that holds at most C residents after every access
     for seed in range(100):
         rng = np.random.default_rng(30000 + seed)
         capacity = int(rng.integers(1, 8))
-        cache = CacheState(capacity)
-        for r in rng.integers(1, 12, size=200).tolist():
-            cache.access(r)
-            if len(cache) > capacity:
+        requests = rng.integers(1, 12, size=200)
+        ref = _Reference(capacity)
+        hits = []
+        for r in requests.tolist():
+            hits.append(ref.access(r)[0])
+            if len(ref.resident) > capacity:
                 problems.append(("capacity", seed))
                 break
+        if _replay_both_paths(requests, capacity) != (hits, hits):
+            problems.append(("capacity-replay", seed))
 
     # byte-identical determinism of written reports
     for seed in range(100):

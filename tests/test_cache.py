@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxysim import cache as cache_module
-from proxysim.cache import CacheState, replay
+from proxysim.cache import replay
 from proxysim.popularity import build_catalog
 from proxysim.simulator import simulate_workload
 from proxysim.workload import Workload, assign_attributes, generate_workload
@@ -24,15 +24,11 @@ class ReferenceCache:
     evictions; eviction takes the minimum count, oldest insertion first.
     """
 
-    def __init__(self, capacity, warm=None):
+    def __init__(self, capacity):
         self.capacity = capacity
         self.resident = {}
         self.counts = {}
         self.seq = 0
-        for rank in warm or []:
-            self.counts[rank] = 0
-            self.resident[rank] = self.seq
-            self.seq += 1
 
     def access(self, rank):
         if rank in self.resident:
@@ -130,70 +126,23 @@ def _replay(policy, capacity, workload):
     return report.requests.tolist(), report.hits.tolist()
 
 
-def test_new_cache_warm_list():
-    cache = CacheState(2, warm=[1, 2])
-    entries = cache.entries
-    assert set(entries) == {1, 2}
-    assert entries[1][0] == 0 and entries[2][0] == 0
-    assert entries[1][1] < entries[2][1]  # ascending insertion order
-
-
-def test_new_cache_rejects_overflow_and_duplicates():
-    with pytest.raises(ValueError):
-        CacheState(2, warm=[1, 2, 3])
-    with pytest.raises(ValueError):
-        CacheState(3, warm=[1, 1])
-    with pytest.raises(ValueError):
-        CacheState(0)
-
-
-def test_new_cache_empty_default():
-    cache = CacheState(3)
-    assert len(cache) == 0
-    assert cache.entries == {}
-
-
 def test_session_hand_trace_hit_then_evict():
-    # warm A=1,B=2 at count 0; requests [A, C, A]
-    cache = CacheState(2, warm=[1, 2])
-    out = _outcomes(cache, [1, 3, 1])
-    assert out == [(True, None), (False, 2), (True, None)]
-    assert cache.entries[1][0] == 2
-    assert cache.entries[3][0] == 1
-    assert 2 not in cache
+    # the hit lifts 1 to count 2, so the miss on 3 evicts 2 at count 1,
+    # and the last request, for 2, misses
+    assert _replays("session_lfu", np.array([1, 2, 1, 3, 1, 2]), [2]) == (
+        [[False, False, True, False, True, False]],) * 2
 
 
 def test_session_hand_trace_tie_breaks_oldest():
-    # both warm entries at count 0: the older insertion loses
-    cache = CacheState(2, warm=[1, 2])
-    assert cache.access(3) == (False, 1)
-
-
-def test_session_hand_trace_pending_ties_heap_minimum():
-    # 2 is the newest admission and ties 1 at count 1: the older 1 loses
-    cache = CacheState(2)
-    assert _outcomes(cache, [1, 2, 3]) == [
-        (False, None), (False, None), (False, 1)]
-    assert cache.entries == {2: (1, 1), 3: (1, 2)}
-
-
-def test_session_hand_trace_cold_start():
-    cache = CacheState(3)
-    out = _outcomes(cache, [5, 5, 5])
-    assert out == [(False, None), (True, None), (True, None)]
-    assert cache.entries[5][0] == 3
-
-
-def test_outcome_eviction_implies_miss():
-    cache = CacheState(1)
-    for rank in (1, 2, 2, 3):
-        hit, evicted = cache.access(rank)
-        assert not (hit and evicted is not None)
+    # 1, 2 and 3 all sit at count 1: the miss on 4 evicts the oldest,
+    # 1, so 1 misses again while 2 still hits
+    for probe, hit in ((1, False), (2, True)):
+        assert _replays("session_lfu", np.array([1, 2, 3, 4, probe]),
+                        [3]) == ([[False] * 4 + [hit]],) * 2
 
 
 def test_single_object_one_cold_miss():
     expected = [(False, None)] + [(True, None)] * 19
-    assert _outcomes(CacheState(1), [1] * 20) == expected
     assert _outcomes(ReferenceLru(1), [1] * 20) == expected
     for policy in ("session_lfu", "lru", "lfu_classic"):
         assert _replays(policy, np.ones(20, dtype=np.int64), [1]) == (
@@ -219,11 +168,9 @@ def test_session_partition_does_not_change_outcomes():
 
 
 def test_lru_differs_from_lfu_where_expected():
-    # after [1,1,2], request 3 with C=2: LRU drops 1, LFU drops 2
-    lru_out = _outcomes(ReferenceLru(2), [1, 1, 2, 3])
-    lfu_out = _outcomes(CacheState(2), [1, 1, 2, 3])
-    assert lru_out[3] == (False, 1)
-    assert lfu_out[3] == (False, 2)
+    # after [1,1,2], request 3 with C=2: LRU drops 1, LFU drops 2 (the
+    # LFU trace is a row of test_lfu_replay_edge_traces)
+    assert _outcomes(ReferenceLru(2), [1, 1, 2, 3])[3] == (False, 1)
     # a request for 1 now tells them apart: LRU misses, LFU hits
     ranks = [1, 1, 2, 3, 1]
     for (lru,), (lfu,) in zip(_replays("lru", np.array(ranks), [2]),
@@ -242,41 +189,19 @@ def test_lru_recency_order():
     _assert_replay_matches("lru", ReferenceLru, ranks, [1, 2, 3])
 
 
-def test_monotone_warm_up_never_evicts():
-    cache = CacheState(4)
-    for rank in (3, 1, 4, 2):
-        hit, evicted = cache.access(rank)
-        assert not hit and evicted is None
-    assert len(cache) == 4
-
-
 def test_capacity_safety_random_traces():
+    # replay equals a reference that never holds more than C residents
     rng = np.random.default_rng(404)
     for _ in range(30):
         capacity = int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         ranks = rng.integers(1, n + 1, size=50)
-        cache = CacheState(capacity)
+        ref = ReferenceCache(capacity)
+        hits = []
         for r in ranks.tolist():
-            cache.access(r)
-            assert len(cache) <= capacity
-
-
-def test_resident_count_and_seq_invariants():
-    rng = np.random.default_rng(11)
-    cache = CacheState(3)
-    last_counts = {}
-    for r in rng.integers(1, 7, size=200).tolist():
-        cache.access(r)
-        entries = cache.entries
-        seqs = [seq for _, seq in entries.values()]
-        assert len(set(seqs)) == len(seqs)
-        for rank, (count, seq) in entries.items():
-            prev = last_counts.get((rank, seq))
-            if prev is not None:
-                assert count >= prev  # never decreases while resident
-        last_counts = {(rank, seq): count
-                       for rank, (count, seq) in entries.items()}
+            hits.append(ref.access(r)[0])
+            assert len(ref.resident) <= capacity
+        assert _replays("session_lfu", ranks, [capacity]) == ([hits],) * 2
 
 
 def test_unknown_policy_rejected():
@@ -294,12 +219,6 @@ def test_brute_force_equivalence_random_traces():
         n = int(rng.integers(1, 9))
         r_total = int(rng.integers(1, 51))
         ranks = rng.integers(1, n + 1, size=r_total).tolist()
-        cache = CacheState(capacity)
-        ref = ReferenceCache(capacity)
-        assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
-        assert set(cache.entries) == set(ref.resident)
-        for rank, (count, _) in cache.entries.items():
-            assert count == ref.counts[rank]
         _assert_replay_matches("session_lfu", ReferenceCache, ranks,
                                [capacity, 1, n])
 
@@ -338,70 +257,43 @@ def test_lfu_replay_matches_reference_property(ranks, capacity, scale):
     ([1, 1, 2, 3, 2, 2, 4, 4, 4, 1, 2], 2),
     # a swap every few requests, then a run of hits, then swaps again
     ([1, 2, 3, 1, 2, 3, 3, 1, 2, 2] * 4 + [1, 1] * 20 + [3, 2] * 8, 2),
+    # the newest admission, 2, ties 1 at count 1: the older 1 loses,
+    # so 2 hits and 1 misses
+    pytest.param([1, 2, 3, 2, 1], 2, id="pending_ties_heap_minimum"),
+    pytest.param([5, 5, 5], 3, id="cold_start"),
+    # four distinct ranks fill C=4 and none is evicted
+    pytest.param([3, 1, 4, 2, 3, 1, 4, 2], 4, id="monotone_warm_up"),
+    # after [1,1,2], the miss on 3 evicts 2, the lower count, not 1
+    pytest.param([1, 1, 2, 3, 2, 1], 2, id="lfu_drops_the_rarer"),
+    # ranks past the number of requests are renumbered densely
+    pytest.param([1, 10_000, 1, 3, 10_000, 10_000, 20_000, 3, 3, 2, 10_000,
+                  7], 2, id="large_ranks"),
 ])
 def test_lfu_replay_edge_traces(ranks, capacity):
     _assert_replay_matches("session_lfu", ReferenceCache, ranks, [capacity])
 
 
-def test_cache_state_rejects_negative_ranks():
-    with pytest.raises(ValueError):
-        CacheState(2).access(-1)
-    with pytest.raises(ValueError):
-        CacheState(2, warm=[3, -1])
-
-
-def test_cache_state_grows_for_large_ranks():
-    # rank 10,000 lies far past the arrays of a fresh CacheState(2)
-    ranks = [1, 10_000, 1, 3, 10_000, 10_000, 20_000, 3, 3, 2, 10_000, 7]
-    cache = CacheState(2)
-    ref = ReferenceCache(2)
-    for rank in ranks:
-        assert cache.access(rank) == ref.access(rank)
-        assert list(cache.entries.items()) == [
-            (r, (ref.counts[r], seq)) for r, seq in ref.resident.items()]
-    assert 20_000 not in cache and 30_000 not in cache and -1 not in cache
-
-
 def test_lfu_replay_equals_cache_state_on_zipf_trace():
     ranks = generate_workload(build_catalog(5000, 0.64), 100_000, 1000,
                               seed=7).requests
-    capacities = [1, 10, 100, 1000]
-    expected = []
-    for capacity in capacities:
-        access = CacheState(capacity).access
-        expected.append([access(r)[0] for r in ranks.tolist()])
-    assert _replays("session_lfu", ranks, capacities) == (expected,) * 2
-
-
-def test_brute_force_equivalence_with_warm_start():
-    rng = np.random.default_rng(77)
-    for _ in range(100):
-        capacity = int(rng.integers(1, 5))
-        n = int(rng.integers(capacity, 9))
-        warm = (rng.permutation(np.arange(1, n + 1))[:capacity]).tolist()
-        ranks = rng.integers(1, n + 1, size=40).tolist()
-        cache = CacheState(capacity, warm=warm)
-        ref = ReferenceCache(capacity, warm)
-        assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
+    kernel, python = _replays("session_lfu", ranks, [1, 10, 100, 1000])
+    assert kernel == python
 
 
 @pytest.mark.parametrize("alpha", [0.98, 0.31])
 @pytest.mark.parametrize("capacity", [1, 2, 10, 50])
 @pytest.mark.parametrize("warm", [False, True])
 def test_brute_force_equivalence_zipf_traces(alpha, capacity, warm):
+    # a warm trace opens with `capacity` distinct random ranks, which
+    # fill the cache with mostly unpopular objects at count 1
     ranks = generate_workload(build_catalog(200, alpha), 5000, 5000,
                               seed=capacity).requests.tolist()
-    warm_list = (np.random.default_rng(capacity).permutation(200)[:capacity]
-                 + 1).tolist() if warm else []
-    cache = CacheState(capacity, warm=warm_list)
-    ref = ReferenceCache(capacity, warm_list)
-    assert _outcomes(cache, ranks) == _outcomes(ref, ranks)
-    assert cache.entries == {rank: (ref.counts[rank], seq)
-                             for rank, seq in ref.resident.items()}
-    if not warm:                          # replay starts cold
-        _assert_replay_matches("lfu_classic", ReferenceCache, ranks,
-                               [capacity, 1, len(set(ranks)),
-                                len(set(ranks)) + 1])
+    if warm:
+        ranks = (np.random.default_rng(capacity).permutation(200)[:capacity]
+                 + 1).tolist() + ranks
+    _assert_replay_matches("lfu_classic", ReferenceCache, ranks,
+                           [capacity, 1, len(set(ranks)),
+                            len(set(ranks)) + 1])
 
 
 def test_lru_brute_force_equivalence_random_traces():
@@ -410,8 +302,8 @@ def test_lru_brute_force_equivalence_random_traces():
         capacity = int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         ranks = rng.integers(1, n + 1, size=int(rng.integers(1, 51))).tolist()
-        # scaled past 255, 65,535 and 2**32 - 1, ranks need 16-, 32- and
-        # 64-bit sort keys, and a narrower key would map them all to 0
+        # scaled past the number of requests, ranks are renumbered
+        # densely before the replay
         for scale in (1, 256, 65_536, 2**32 + 1):
             _assert_replay_matches("lru", ReferenceLru,
                                    [rank * scale for rank in ranks],
@@ -460,21 +352,19 @@ def test_lru_replay_edge_traces(ranks, capacity):
 
 
 @pytest.mark.parametrize("start", [3, 4, 5, 6])
-def test_lru_lane_starts_around_fill(start):
+def test_lru_replay_across_fill(start):
     # at C=3 the third distinct rank comes at request 4; random tails of
-    # 7 * `start` - 5 requests follow that fill. The name dates from the
-    # lane replay, whose second lane started at request `start`.
+    # 7 * `start` - 5 requests follow that fill
     tail = np.random.default_rng(start).integers(1, 6, 7 * start - 5)
     ranks = [1, 1, 2, 1, 3, *tail.tolist()]
     assert len(ranks) == 7 * start
     _assert_replay_matches("lru", ReferenceLru, ranks, [3, 2, 3, 6])
 
 
-def test_lru_lane_starts_on_a_rerequest_of_its_lru_end():
+def test_lru_replay_hit_on_lru_end():
     # at C=2, before request 4 the cache holds ranks 3 and 4 and its LRU
     # end is request 2; request 4 asks for rank 3 again, a hit on the
-    # LRU end itself. The name dates from the lane replay, whose second
-    # lane started at that request.
+    # LRU end itself
     tail = np.random.default_rng(4).integers(1, 6, 23)
     ranks = [1, 2, 3, 4, 3, *tail.tolist()]
     _assert_replay_matches("lru", ReferenceLru, ranks, [2])
@@ -514,10 +404,49 @@ def test_lru_replay_takes_any_int_dtype(dtype):
 @pytest.mark.parametrize("policy", ["session_lfu", "lru", "lfu_classic"])
 def test_replay_one_request(policy):
     assert _replays(policy, np.array([3]), [1, 2]) == ([[False], [False]],) * 2
-    with pytest.raises(ValueError):
-        replay(policy, np.array([3]), [1, 0])
-    with pytest.raises(ValueError):                 # past the fill point too
-        replay(policy, np.array([2, 3, 2, -1]), [1])
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("ranks, capacity", [
+    pytest.param(np.array([1.5, 1.7, 2.2]), 1, id="float_ranks"),
+    pytest.param(np.array([[1, 2], [2, 1]]), 1, id="2d_ranks"),
+    pytest.param(np.array([True, False, True]), 1, id="bool_ranks"),
+    pytest.param([1, 2, 1], 1, id="list_ranks"),
+    # the whole array is checked, not only its first rank
+    pytest.param(np.array([2, 3, 2, -1]), 1, id="negative_rank"),
+    pytest.param(np.array([1, 2, 1]), 0, id="zero_capacity"),
+    pytest.param(np.array([1, 2, 1]), 2.5, id="float_capacity"),
+    pytest.param(np.array([1, 2, 1]), float("nan"), id="nan_capacity"),
+    pytest.param(np.array([1, 2, 1]), True, id="bool_capacity"),
+    pytest.param(np.array([1, 2, 1]), "2", id="str_capacity"),
+])
+def test_replay_rejects_bad_input(monkeypatch, kernel, ranks, capacity):
+    # both paths refuse the same input, with one ValueError, before any
+    # replay: no flag array comes out, not even for a good capacity
+    if not kernel:
+        monkeypatch.setattr(cache_module, "_kernel", lambda: None)
+    for policy in cache_module.POLICIES:
+        with pytest.raises(ValueError):
+            replay(policy, ranks, [1, capacity])
+
+
+def test_replay_takes_numpy_int_capacities():
+    ranks = np.array([1, 2, 1, 3, 1])
+    assert _replays("lru", ranks, [np.int64(2), np.uint8(1)]) == (
+        [[False, False, True, False, True], [False] * 5],) * 2
+
+
+def test_replay_falls_back_when_the_source_is_missing(monkeypatch,
+                                                      tmp_path):
+    ranks = np.array([1, 2, 3, 2, 1])
+    monkeypatch.setattr(cache_module, "_SOURCE", str(tmp_path / "gone.c"))
+    cache_module._kernel.cache_clear()
+    try:
+        assert cache_module._kernel() is None
+        assert [f.tolist() for f in replay("session_lfu", ranks, [2])] == [
+            [False, False, False, True, False]]
+    finally:
+        cache_module._kernel.cache_clear()
 
 
 def _replay_in_subprocess(cache_home):

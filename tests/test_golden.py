@@ -4,14 +4,16 @@ run through ``cli.main``, hashes to a checked-in digest.
 A digest covers the sorted relative paths and bytes of every file in the
 command's own output directory, then its stdout with that directory
 replaced by a fixed token. A change to any output byte shows up here as
-a changed digest; a deliberate one is a contract change.
+a changed digest; a deliberate one is a contract change. The LFU
+commands are run a second time with no replay kernel, on the Python
+loop that replays where it cannot be built, to the same digests.
 """
 
 import hashlib
 
 import pytest
 
-from proxysim import cli
+from proxysim import cache, cli
 
 _N, _R = "10000", "1000000"
 _POINT = ["--objects", _N, "--alpha", "0.7", "--seed", "3"]
@@ -86,3 +88,23 @@ def test_command_bytes_match_golden_digest(name, tmp_path, trace, capsys,
     _run(name, tmp_path / "out")
     assert _digest(tmp_path / "out", capsys.readouterr().out) == \
         _DIGESTS[name]
+
+
+@pytest.fixture
+def no_kernel(tmp_path, monkeypatch):
+    """No kernel can load, in this process or a sweep worker: the cache
+    folder is empty and ``cc`` is not on PATH."""
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    cache._kernel.cache_clear()
+    assert cache._kernel() is None
+    yield
+    cache._kernel.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["sweep", "trace_lfu", "compare"])
+def test_lfu_command_bytes_match_golden_digest_without_kernel(
+        name, tmp_path, trace, capsys, monkeypatch, no_kernel):
+    test_command_bytes_match_golden_digest(name, tmp_path, trace, capsys,
+                                           monkeypatch)
