@@ -1,7 +1,8 @@
 /* Hit flags of a fresh cache replaying a request stream, one function
- * per policy. Ranks are ints in [0, n_ranks) and 1 <= capacity <=
- * n_ranks; each function writes one flag per request, 1 for a hit, and
- * returns 0, or -1 when it cannot allocate its arrays over ranks.
+ * per policy, and the tally of those flags. Ranks are ints in
+ * [0, n_ranks) and 1 <= capacity <= n_ranks; each replay writes one flag
+ * per request, 1 for a hit, and returns 0, or -1 when it cannot allocate
+ * its arrays over ranks.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -128,5 +129,19 @@ int lru_flags(const int64_t *ranks, int64_t total, int64_t n_ranks,
         head = rank;
     }
     free(older), free(newer), free(held);
+    return 0;
+}
+
+/* The tally of one replay's flags: adds each flag to hits[rank], of
+ * n_bins zeroed slots. Returns 0, or -1 at the first rank outside
+ * [0, n_bins), before it is written. */
+int tally(const int64_t *ranks, int64_t total, const uint8_t *flags,
+          int64_t n_bins, int64_t *hits)
+{
+    for (int64_t i = 0; i < total; i++) {
+        if ((uint64_t)ranks[i] >= (uint64_t)n_bins)
+            return -1;
+        hits[ranks[i]] += flags[i];
+    }
     return 0;
 }

@@ -14,11 +14,14 @@ baseline.
 fresh cache at each of several capacities, from one plain loop over the
 requests per capacity in ``_replay.c``. LFU keeps the residents in a
 binary min-heap on ``(count, insertion position)``, with a heap slot per
-rank; LRU keeps them in a doubly linked list over ranks. The C file is
-compiled on first use into the user's cache directory and loaded
-through ``ctypes``. Where it cannot be built, the same replay runs in
+rank; LRU keeps them in a doubly linked list over ranks. The same C
+file reduces each array of flags: :func:`tally` counts the hits per rank
+in one pass, with no per-request temporary. The C file is compiled on
+first use into the user's cache directory and loaded through
+``ctypes``. Where it cannot be built, the same replay runs in
 Python, with the C functions' arguments: ``_lfu_python`` for LFU and
-``_lru_python``, an ``OrderedDict``, for LRU.
+``_lru_python``, an ``OrderedDict``, for LRU; ``np.bincount`` tallies
+the flags.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ def replay(policy: str, requests: np.ndarray,
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    capacities = tuple(capacities)      # an iterator is walked only once
     for capacity in capacities:
         if (not isinstance(capacity, (int, np.integer))
                 or isinstance(capacity, bool) or capacity < 1):
@@ -83,14 +87,40 @@ def _replay(lru: bool, requests: np.ndarray,
         yield flags
 
 
+def tally(requests: np.ndarray, flags: np.ndarray, n_bins: int) -> np.ndarray:
+    """The hits of one replay per rank, an int64 array over ``n_bins``
+    ranks from 0: ``hits[r]`` counts the set ``flags`` of the requests
+    for rank ``r``.
+
+    ``flags`` is one bool per request, as :func:`replay` yields them. A
+    rank outside ``0..n_bins - 1`` is a ``ValueError``; the compiled
+    loop checks each rank before it counts it, since an array of ranks
+    may have changed since it was last checked.
+    """
+    ranks = np.ascontiguousarray(requests, dtype=np.int64)
+    if flags.dtype != bool or flags.shape != ranks.shape:
+        raise ValueError("flags must be one bool per request")
+    kernel = _kernel()
+    if kernel is None:
+        if ranks.size and not 0 <= ranks.min() <= ranks.max() < n_bins:
+            raise ValueError(f"ranks must be in 0..{n_bins - 1}")
+        return np.bincount(ranks[flags], minlength=n_bins)
+    flags = np.ascontiguousarray(flags)
+    hits = np.zeros(n_bins, dtype=np.int64)
+    if kernel.tally(ranks.ctypes.data, ranks.size, flags.ctypes.data,
+                    n_bins, hits.ctypes.data):
+        raise ValueError(f"ranks must be in 0..{n_bins - 1}")
+    return hits
+
+
 @functools.cache
 def _kernel():
-    """The compiled replay functions of ``_replay.c``, built on first use
-    into ``$XDG_CACHE_HOME/proxysim`` (else ``~/.cache/proxysim``) as a
-    library named by a hash of the source; None where the source cannot
-    be read, there is no compiler, or the build or load fails. A build
-    writes a temp file and renames it, so processes that build at once
-    each load whole bytes."""
+    """The compiled replay and tally functions of ``_replay.c``, built on
+    first use into ``$XDG_CACHE_HOME/proxysim`` (else
+    ``~/.cache/proxysim``) as a library named by a hash of the source;
+    None where the source cannot be read, there is no compiler, or the
+    build or load fails. A build writes a temp file and renames it, so
+    processes that build at once each load whole bytes."""
     import ctypes
     import hashlib
     import subprocess
@@ -121,6 +151,10 @@ def _kernel():
         function.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                              ctypes.c_int64, ctypes.c_void_p]
         function.restype = ctypes.c_int
+    # ranks, their number, flags, bins, hits
+    kernel.tally.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                             ctypes.c_int64, ctypes.c_void_p]
+    kernel.tally.restype = ctypes.c_int
     return kernel
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .analytics import (RATE_CONVENTIONS, BandwidthParams, finite_total,
                         model_report, per_rank_rate)
-from .cache import replay
+from .cache import replay, tally
 from .popularity import build_catalog
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
                        DEFAULT_TIME_RANGE, ObjectAttributes, Workload,
@@ -121,6 +121,7 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
     :func:`run_simulation` and :func:`sweep`, also used when a workload
     comes from a trace file instead of a seed.
     """
+    capacities = tuple(capacities)      # an iterator is walked only once
     for capacity in capacities:
         BandwidthParams(k, capacity, rate_convention)
     requests = rank_histogram(workload)
@@ -132,8 +133,7 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
     reports = []
     for capacity, flags in zip(capacities,
                                replay(policy, workload.requests, capacities)):
-        hits = np.bincount(workload.requests[flags],
-                           minlength=workload.n_objects + 1)[1:]
+        hits = tally(workload.requests, flags, workload.n_objects + 1)[1:]
         misses = requests - hits
         imported = k * misses * rate
         hit_ratio = float(hits.sum()) / total

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -504,3 +505,97 @@ def test_replay_builds_at_once_share_one_cache_folder(tmp_path):
     if shutil.which("cc") is not None:
         assert [out.split()[0] for out, _ in outs] == ["True", "True"]
         assert len(_built(tmp_path)) == 1
+
+
+def test_replay_and_simulate_workload_take_an_iterator_of_capacities():
+    # each reads its capacities once, so an iterator gives one result
+    # per capacity, as its list does
+    ranks = np.array([1, 2, 1])
+    assert [f.tolist() for f in replay("lru", ranks, iter([1, 2]))] == [
+        [False, False, False], [False, False, True]]
+    workload = Workload(requests=ranks, session_size=2, n_objects=2)
+    reports = simulate_workload(workload, assign_attributes(2, seed=0),
+                                iter([1, 2]), "lru", 1.0, "product", {})
+    assert [r.hits.tolist() for r in reports] == [[0, 0], [1, 0]]
+
+
+_TALLY_TRACES = {
+    "random": np.random.default_rng(1905).integers(1, 9, size=500),
+    "zipf": generate_workload(build_catalog(200, 0.98), 5000, 5000,
+                              seed=1).requests,
+}
+
+
+def _tallies(requests, flags, n_bins):
+    """``tally``'s hits as lists, once through the compiled kernel and
+    once through the numpy fallback."""
+    kernel = cache_module.tally(requests, flags, n_bins)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache_module, "_kernel", lambda: None)
+        python = cache_module.tally(requests, flags, n_bins)
+    return [kernel.tolist(), python.tolist()]
+
+
+@pytest.mark.parametrize("trace", list(_TALLY_TRACES))
+def test_tally_matches_bincount(trace):
+    requests = _TALLY_TRACES[trace]
+    n_bins = int(requests.max()) + 1
+    replayed, = replay("lru", requests, [3])
+    cases = {"replay": replayed,
+             "all_miss": np.zeros(requests.size, dtype=bool),
+             "all_hit": np.ones(requests.size, dtype=bool)}
+    for name, flags in cases.items():
+        expected = np.bincount(requests[flags], minlength=n_bins).tolist()
+        assert _tallies(requests, flags, n_bins) == [expected] * 2, name
+    # spare bins past the largest rank stay zero
+    assert _tallies(requests, replayed, n_bins + 2) == [
+        np.bincount(requests[replayed], minlength=n_bins + 2).tolist()] * 2
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("at", [0, 250, 499])
+@pytest.mark.parametrize("rank", [9, -1])
+def test_tally_rejects_rank_outside_bins(monkeypatch, kernel, at, rank):
+    # a rank equal to n_bins, or below 0, is refused whether or not its
+    # request hit, and no tally comes back
+    if not kernel:
+        monkeypatch.setattr(cache_module, "_kernel", lambda: None)
+    requests = _TALLY_TRACES["random"].copy()
+    requests[at] = rank
+    for flags in (np.zeros(500, dtype=bool), np.ones(500, dtype=bool)):
+        with pytest.raises(ValueError, match="ranks must be in 0..8"):
+            cache_module.tally(requests, flags, 9)
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+def test_tally_rejects_flags_not_one_bool_per_request(monkeypatch, kernel):
+    # the compiled loop reads one flag byte per rank, so a short or wide
+    # flag array would be read past its end
+    if not kernel:
+        monkeypatch.setattr(cache_module, "_kernel", lambda: None)
+    requests = _TALLY_TRACES["random"]
+    for flags in (np.ones(499, dtype=bool), np.ones(500, dtype=np.int64),
+                  np.ones((500, 1), dtype=bool)):
+        with pytest.raises(ValueError, match="one bool per request"):
+            cache_module.tally(requests, flags, 9)
+
+
+@pytest.mark.parametrize("policy", ["session_lfu", "lru"])
+def test_simulate_workload_allocates_nothing_per_hit(policy):
+    # tracemalloc sees numpy's data buffers: beyond the workload, a run
+    # keeps one flag byte per request and arrays over ranks, and builds
+    # no array of the hit requests' ranks
+    if cache_module._kernel() is None:
+        pytest.skip("no replay kernel; the numpy tally allocates per request")
+    total = 200_000
+    workload = generate_workload(build_catalog(1000, 0.98), total, 1000,
+                                 seed=11)
+    attrs = assign_attributes(1000, seed=0)
+    tracemalloc.start()
+    try:
+        simulate_workload(workload, attrs, [10, 100, 500], policy, 1.0,
+                          "product", {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * total

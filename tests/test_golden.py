@@ -5,8 +5,9 @@ A digest covers the sorted relative paths and bytes of every file in the
 command's own output directory, then its stdout with that directory
 replaced by a fixed token. A change to any output byte shows up here as
 a changed digest; a deliberate one is a contract change. The LFU
-commands are run a second time with no replay kernel, on the Python
-loop that replays where it cannot be built, to the same digests.
+commands and the LRU trace replay are run a second time with no replay
+kernel, on the Python loops and numpy tally that run where it cannot
+be built, to the same digests.
 """
 
 import hashlib
@@ -108,3 +109,9 @@ def test_lfu_command_bytes_match_golden_digest_without_kernel(
         name, tmp_path, trace, capsys, monkeypatch, no_kernel):
     test_command_bytes_match_golden_digest(name, tmp_path, trace, capsys,
                                            monkeypatch)
+
+
+def test_lru_trace_bytes_match_golden_digest_without_kernel(
+        tmp_path, trace, capsys, monkeypatch, no_kernel):
+    test_command_bytes_match_golden_digest("trace_lru", tmp_path, trace,
+                                           capsys, monkeypatch)
