@@ -1,7 +1,6 @@
 """Trace-driven proxy cache simulation with closed-form traffic models."""
 
-from .analytics import (BandwidthParams, ModelReport, aggregate_bandwidth,
-                        bandwidth_per_rank, hit_miss_on_demand,
+from .analytics import (BandwidthParams, ModelReport, hit_miss_on_demand,
                         miss_probability, model_report, top_c_mass,
                         top_c_mass_asymptotic)
 from .cache import POLICIES
@@ -18,10 +17,9 @@ from .workload import (ObjectAttributes, TraceParseError, Workload,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandwidthParams", "CapacityComparison", "DEFAULT_ALPHAS",
-    "ModelReport", "ObjectAttributes", "POLICIES", "SimConfig", "SimReport",
-    "TraceParseError", "Workload", "ZipfCatalog",
-    "aggregate_bandwidth", "assign_attributes", "bandwidth_per_rank",
+    "BandwidthParams", "CapacityComparison", "DEFAULT_ALPHAS", "ModelReport",
+    "ObjectAttributes", "POLICIES", "SimConfig", "SimReport",
+    "TraceParseError", "Workload", "ZipfCatalog", "assign_attributes",
     "build_catalog", "compare_analytic", "fit_power_law",
     "generalized_harmonic", "generate_workload", "hit_miss_on_demand",
     "load_trace", "miss_probability", "model_report", "power_modulus",

@@ -1,8 +1,10 @@
 /* Hit flags of a fresh cache replaying a request stream, one function
- * per policy, and the tally of those flags. Ranks are ints in
+ * per policy, and the tally of those flags. Ranks should be ints in
  * [0, n_ranks) and 1 <= capacity <= n_ranks; each replay writes one flag
- * per request, 1 for a hit, and returns 0, or -1 when it cannot allocate
- * its arrays over ranks.
+ * per request, 1 for a hit, and returns 0, -1 when it cannot allocate
+ * its arrays over ranks, or 1 at the first rank outside [0, n_ranks),
+ * before it reads any array at that rank: the ranks may have changed
+ * since they were last checked.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -64,8 +66,14 @@ int lfu_flags(const int64_t *ranks, int64_t total, int64_t n_ranks,
     }
     for (int64_t r = 0; r < n_ranks; r++)
         slot[r] = -1;
+    int status = 0;
     for (int64_t i = 0; i < total; i++) {
-        int64_t rank = ranks[i], at = slot[rank];
+        int64_t rank = ranks[i], at;
+        if ((uint64_t)rank >= (uint64_t)n_ranks) {
+            status = 1;
+            break;
+        }
+        at = slot[rank];
         count[rank]++;
         flags[i] = at >= 0;
         if (at >= 0) {
@@ -81,7 +89,7 @@ int lfu_flags(const int64_t *ranks, int64_t total, int64_t n_ranks,
         }
     }
     free(count), free(slot), free(heap);
-    return 0;
+    return status;
 }
 
 /* LRU: the residents form a doubly linked list over ranks, most recently
@@ -97,8 +105,13 @@ int lru_flags(const int64_t *ranks, int64_t total, int64_t n_ranks,
         free(older), free(newer), free(held);
         return -1;
     }
+    int status = 0;
     for (int64_t i = 0; i < total; i++) {
         int64_t rank = ranks[i];
+        if ((uint64_t)rank >= (uint64_t)n_ranks) {
+            status = 1;
+            break;
+        }
         flags[i] = held[rank];
         if (rank == head)
             continue;
@@ -129,7 +142,7 @@ int lru_flags(const int64_t *ranks, int64_t total, int64_t n_ranks,
         head = rank;
     }
     free(older), free(newer), free(held);
-    return 0;
+    return status;
 }
 
 /* The tally of one replay's flags: adds each flag to hits[rank], of

@@ -36,9 +36,10 @@ class BandwidthParams:
         Per-rank rate ``b_i``: ``"product"`` for ``s_i * t_i`` or
         ``"ratio"`` for ``s_i / t_i``.
 
-    This is the one place ``k`` and ``rate_convention`` are validated;
-    :func:`~proxysim.simulator.simulate_workload` builds one per
-    capacity to check them and the capacity.
+    This is the one place ``k`` and ``rate_convention`` are validated,
+    and :func:`model_report` the one evaluator of the model they set.
+    :class:`~proxysim.simulator.SimConfig` builds one per capacity, so a
+    bad field is refused before any rank is drawn.
     """
 
     k: float
@@ -89,16 +90,6 @@ def _miss_term(catalog: ZipfCatalog, r_requests: int,
     if r_requests < 0:
         raise ValueError(f"r_requests must be >= 0, got {r_requests}")
     return np.power(1.0 - catalog.probabilities[ranks], r_requests)
-
-
-def _model_bandwidth(catalog: ZipfCatalog, attributes: ObjectAttributes,
-                     params: BandwidthParams, ranks: slice) -> np.ndarray:
-    """The one bandwidth formula: ``k * top_c_mass(C) * b_i`` for the
-    0-based ``ranks``. The top-C mass is the capacity's weight."""
-    b = per_rank_rate(attributes.sizes[ranks],
-                      attributes.channel_times[ranks],
-                      params.rate_convention)
-    return params.k * top_c_mass(catalog, params.cache_capacity) * b
 
 
 def miss_probability(catalog: ZipfCatalog, rank: int, r_requests: int) -> float:
@@ -160,30 +151,6 @@ def top_c_mass_asymptotic(catalog: ZipfCatalog, c: int, mode: str) -> float:
         raise ValueError(f"corrected mass overflows, alpha {alpha}") from None
 
 
-def bandwidth_per_rank(rank: int, attributes: ObjectAttributes,
-                       params: BandwidthParams,
-                       catalog: ZipfCatalog) -> float:
-    """Estimated imported bandwidth attributed to one rank.
-
-    The per-rank rate ``b_i`` (product or ratio of size and channel
-    time) is weighted by ``k`` and by the exact mass of the top
-    ``params.cache_capacity`` ranks.
-    """
-    check_rank(catalog, rank, "rank")
-    return float(_model_bandwidth(catalog, attributes, params,
-                                  slice(rank - 1, rank))[0])
-
-
-def aggregate_bandwidth(attributes: ObjectAttributes,
-                        params: BandwidthParams, catalog: ZipfCatalog,
-                        n_ranks: int) -> float:
-    """Total estimated bandwidth over ranks ``1..n_ranks``: the sum of
-    :func:`bandwidth_per_rank` over them, so linear in ``k``."""
-    check_rank(catalog, n_ranks, "n_ranks")
-    return float(_model_bandwidth(catalog, attributes, params,
-                                  slice(n_ranks)).sum())
-
-
 def model_report(catalog: ZipfCatalog, attributes: ObjectAttributes,
                  params: BandwidthParams, r_requests: int) -> ModelReport:
     """Evaluate the full closed-form model over every rank.
@@ -200,18 +167,23 @@ def model_report(catalog: ZipfCatalog, attributes: ObjectAttributes,
     Returns
     -------
     ModelReport
-        Per-rank miss probabilities and bandwidth, the residual miss
-        mass over the whole catalog, the exact top-C mass, and the
-        aggregate bandwidth over all ranks. Each field equals the
-        matching scalar function at the whole catalog.
+        Per-rank miss probabilities, the residual miss mass over the
+        whole catalog and the exact top-C mass, which equal
+        :func:`miss_probability`, :func:`hit_miss_on_demand` and
+        :func:`top_c_mass` exactly; and the bandwidth model, evaluated
+        only here: ``k * top_c_mass(C) * b_i`` per rank and its sum over
+        all ranks.
     """
     n = catalog.n_objects
-    per_rank_bandwidth = _model_bandwidth(catalog, attributes, params,
-                                          slice(n))
+    mass = top_c_mass(catalog, params.cache_capacity)
+    # [:n]: an attribute table longer than the catalog still gives N rows
+    per_rank_bandwidth = params.k * mass * per_rank_rate(
+        attributes.sizes[:n], attributes.channel_times[:n],
+        params.rate_convention)
     return ModelReport(
         per_rank_miss=_miss_term(catalog, r_requests, slice(n)),
         h_demand=hit_miss_on_demand(catalog, r_requests, n),
-        top_c_mass=top_c_mass(catalog, params.cache_capacity),
+        top_c_mass=mass,
         per_rank_bandwidth=per_rank_bandwidth,
         aggregate_bandwidth=finite_total(float(per_rank_bandwidth.sum())),
     )

@@ -47,9 +47,10 @@ def replay(policy: str, requests: np.ndarray,
 
     The policy, every capacity, which must be an int >= 1, and the
     ranks, which must be a 1-d array of non-negative ints, are checked
-    here, before any replay. Both policies keep arrays over ranks, so
-    ranks larger than the number of requests are first numbered densely
-    in sorted order, which changes no flag.
+    here, before any replay; each replay checks its ranks again, so a
+    rank changed since is a ``ValueError``. Both policies keep arrays
+    over ranks, so ranks larger than the number of requests are first
+    numbered densely in sorted order, which changes no flag.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -78,13 +79,18 @@ def _replay(lru: bool, requests: np.ndarray,
         capacity = min(capacity, n_ranks)
         flags = np.empty(ranks.size, dtype=bool)
         if kernel is None:
-            (_lru_python if lru else _lfu_python)(ranks, n_ranks, capacity,
-                                                  flags)
-        elif (kernel.lru_flags if lru else kernel.lfu_flags)(
+            status = (_lru_python if lru else _lfu_python)(
+                ranks, n_ranks, capacity, flags)
+        else:
+            status = (kernel.lru_flags if lru else kernel.lfu_flags)(
                 ranks.ctypes.data, ranks.size, n_ranks, capacity,
-                flags.ctypes.data):
+                flags.ctypes.data)
+        if status == -1:
             raise MemoryError
+        if status:      # the ranks changed after they were checked
+            raise ValueError(f"ranks must be in 0..{n_ranks - 1}")
         yield flags
+        del flags       # so that only one array of flags is alive at once
 
 
 def tally(requests: np.ndarray, flags: np.ndarray, n_bins: int) -> np.ndarray:
@@ -159,9 +165,11 @@ def _kernel():
 
 
 def _lfu_python(ranks: np.ndarray, n_ranks: int, capacity: int,
-                flags: np.ndarray) -> None:
+                flags: np.ndarray) -> int:
     """Writes the LFU hit flags of ``ranks`` into ``flags``, the C
-    ``lfu_flags`` in Python, a window of ``_WINDOW`` ranks at a time.
+    ``lfu_flags`` in Python, a window of ``_WINDOW`` ranks at a time;
+    returns its status, 0, or 1 at a window with a rank outside
+    ``0..n_ranks - 1``, before the window is replayed.
 
     The newest admission waits in a pending slot; the other residents,
     the set S, are marked in ``member`` and sit in a heap of ``(count,
@@ -179,9 +187,11 @@ def _lfu_python(ranks: np.ndarray, n_ranks: int, capacity: int,
     free = capacity
     flags[:] = True
     for start in range(0, ranks.size, _WINDOW):
+        window = ranks[start:start + _WINDOW]
+        if not 0 <= window.min() <= window.max() < n_ranks:
+            return 1
         missed = []
-        for i, rank in enumerate(ranks[start:start + _WINDOW].tolist(),
-                                 start):
+        for i, rank in enumerate(window.tolist(), start):
             count[rank] += 1
             if member[rank] or rank == pending:
                 continue
@@ -203,18 +213,23 @@ def _lfu_python(ranks: np.ndarray, n_ranks: int, capacity: int,
                     heapreplace(heap, (count[top], top_seq, top))  # refresh
             pending, admitted = rank, i
         flags[missed] = False
+    return 0
 
 
 def _lru_python(ranks: np.ndarray, n_ranks: int, capacity: int,
-                flags: np.ndarray) -> None:
+                flags: np.ndarray) -> int:
     """Writes the LRU hit flags of ``ranks`` into ``flags``, the C
     ``lru_flags`` in Python, through an ``OrderedDict`` of the residents,
-    least recently used first, a window of ``_WINDOW`` ranks at a time.
-    The dict holds only the residents, so ``n_ranks`` is not read."""
+    least recently used first, a window of ``_WINDOW`` ranks at a time;
+    returns the status of :func:`_lfu_python`. The dict holds only the
+    residents, so ``n_ranks`` serves only to check the ranks."""
     cache = OrderedDict()
     for start in range(0, ranks.size, _WINDOW):
+        window = ranks[start:start + _WINDOW]
+        if not 0 <= window.min() <= window.max() < n_ranks:
+            return 1
         hits = []
-        for rank in ranks[start:start + _WINDOW].tolist():
+        for rank in window.tolist():
             hits.append(rank in cache)
             if hits[-1]:
                 cache.move_to_end(rank)
@@ -223,3 +238,4 @@ def _lru_python(ranks: np.ndarray, n_ranks: int, capacity: int,
                 cache.popitem(last=False)
             cache[rank] = None
         flags[start:start + len(hits)] = hits
+    return 0

@@ -302,8 +302,10 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             if getattr(args, name) is not None:
                 sub.error(f"--{name} conflicts with --trace, which replays "
                           "the trace's own catalog size, length and skew")
-        # the ranges are checked before the trace is read, for one object
+        # the ranges and the bandwidth parameters are checked before the
+        # trace is read, the ranges for one object
         assign_attributes(1, args.sizes, args.times)
+        BandwidthParams(args.k, args.capacity, args.rate)
         workload = load_trace(args.trace)
         _, attr_seed = spawn_seeds(args.seed, 2)
         attrs = assign_attributes(workload.n_objects, args.sizes, args.times,

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from proxysim.analytics import (BandwidthParams, ModelReport,
-                                aggregate_bandwidth, bandwidth_per_rank,
                                 hit_miss_on_demand, miss_probability,
-                                model_report, top_c_mass,
+                                model_report, per_rank_rate, top_c_mass,
                                 top_c_mass_asymptotic, write_model_report_csv)
 from proxysim.popularity import build_catalog
 from proxysim.workload import ObjectAttributes, assign_attributes
@@ -115,56 +114,55 @@ def test_asymptotic_singular_at_alpha_one():
         top_c_mass_asymptotic(build_catalog(50, 0.5), 10, "nosuch")
 
 
-def test_bandwidth_per_rank_hand_values():
+def test_per_rank_bandwidth_hand_values():
     cat = build_catalog(1, 0.5)
     attrs = _attrs([2.0], [3.0])
     product = BandwidthParams(k=1.0, cache_capacity=1)
-    assert bandwidth_per_rank(1, attrs, product, cat) == pytest.approx(
-        6.0, rel=1e-13)
+    assert model_report(cat, attrs, product, 10).per_rank_bandwidth[0] == (
+        pytest.approx(6.0, rel=1e-13))
     ratio = BandwidthParams(k=1.0, cache_capacity=1, rate_convention="ratio")
-    assert bandwidth_per_rank(1, attrs, ratio, cat) == pytest.approx(
-        2.0 / 3.0, rel=1e-13)
+    assert model_report(cat, attrs, ratio, 10).per_rank_bandwidth[0] == (
+        pytest.approx(2.0 / 3.0, rel=1e-13))
     zero = BandwidthParams(k=0.0, cache_capacity=1)
-    assert bandwidth_per_rank(1, attrs, zero, cat) == 0.0
+    assert model_report(cat, attrs, zero, 10).per_rank_bandwidth[0] == 0.0
 
 
 def test_aggregate_bandwidth_hand_values():
     cat = build_catalog(1, 0.5)
     attrs = _attrs([2.0], [3.0])
     params = BandwidthParams(k=1.0, cache_capacity=1)
-    assert aggregate_bandwidth(attrs, params, cat, 1) == pytest.approx(
-        6.0, rel=1e-13)
-    assert aggregate_bandwidth(
-        attrs, BandwidthParams(k=0.0, cache_capacity=1), cat, 1) == 0.0
-    with pytest.raises(ValueError):
-        aggregate_bandwidth(attrs, params, cat, 0)
+    assert model_report(cat, attrs, params, 10).aggregate_bandwidth == (
+        pytest.approx(6.0, rel=1e-13))
+    assert model_report(cat, attrs, BandwidthParams(k=0.0, cache_capacity=1),
+                        10).aggregate_bandwidth == 0.0
 
 
 def test_aggregate_bandwidth_uniform_unit_attributes():
-    n = 40
-    cat = build_catalog(n, 0.31)
-    attrs = _attrs(np.ones(n), np.ones(n))
-    params = BandwidthParams(k=1.0, cache_capacity=n)  # mass 1
-    for n_ranks in (1, 7, 40):
-        assert aggregate_bandwidth(attrs, params, cat, n_ranks) == (
-            pytest.approx(float(n_ranks), rel=1e-12))
+    # an attribute table longer than the catalog: its first N rows count
+    attrs = _attrs(np.ones(40), np.ones(40))
+    for n in (1, 7, 40):
+        params = BandwidthParams(k=1.0, cache_capacity=n)  # mass 1
+        report = model_report(build_catalog(n, 0.31), attrs, params, 10)
+        assert report.per_rank_bandwidth.shape == (n,)
+        assert report.aggregate_bandwidth == pytest.approx(float(n),
+                                                           rel=1e-12)
 
 
 def test_aggregate_bandwidth_linearity_and_factorization():
     cat = build_catalog(300, 0.64)
     attrs = assign_attributes(300, seed=6)
-    full = aggregate_bandwidth(
-        attrs, BandwidthParams(k=1.0, cache_capacity=50), cat, 300)
+
+    def aggregate(k):
+        params = BandwidthParams(k=k, cache_capacity=50)
+        return model_report(cat, attrs, params, 1000).aggregate_bandwidth
+
+    full = aggregate(1.0)
     for k in (0.0, 0.25, 0.5, 1.0):
-        scaled = aggregate_bandwidth(
-            attrs, BandwidthParams(k=k, cache_capacity=50), cat, 300)
-        assert scaled == pytest.approx(k * full, rel=1e-12, abs=1e-15)
+        assert aggregate(k) == pytest.approx(k * full, rel=1e-12, abs=1e-15)
     # product convention factorizes: k * mass * sum(s_i * t_i)
     mass = top_c_mass(cat, 50)
     expected = 0.5 * mass * float((attrs.sizes * attrs.channel_times).sum())
-    measured = aggregate_bandwidth(
-        attrs, BandwidthParams(k=0.5, cache_capacity=50), cat, 300)
-    assert abs(measured - expected) / expected < 1e-12
+    assert abs(aggregate(0.5) - expected) / expected < 1e-12
 
 
 def test_top_c_mass_ordered_by_alpha():
@@ -300,10 +298,13 @@ def test_scalar_functions_equal_model_report_exactly(k, rate_convention):
         report = model_report(cat, attrs, params, r_requests)
         assert report.top_c_mass == top_c_mass(cat, capacity)
         assert report.h_demand == hit_miss_on_demand(cat, r_requests, n)
-        assert report.aggregate_bandwidth == aggregate_bandwidth(
-            attrs, params, cat, n)
+        assert report.aggregate_bandwidth == float(
+            report.per_rank_bandwidth.sum())
         for rank in range(1, n + 1):
             assert report.per_rank_miss[rank - 1] == miss_probability(
                 cat, rank, r_requests)
-            assert report.per_rank_bandwidth[rank - 1] == bandwidth_per_rank(
-                rank, attrs, params, cat)
+            # the bandwidth model has no scalar twin: its formula, per rank
+            assert report.per_rank_bandwidth[rank - 1] == (
+                k * report.top_c_mass * per_rank_rate(
+                    attrs.sizes[rank - 1], attrs.channel_times[rank - 1],
+                    rate_convention))

@@ -15,6 +15,7 @@ from proxysim.cache import replay
 from proxysim.popularity import build_catalog
 from proxysim.simulator import simulate_workload
 from proxysim.workload import Workload, assign_attributes, generate_workload
+from test_tooling import _src_env
 
 
 class ReferenceCache:
@@ -507,6 +508,39 @@ def test_replay_builds_at_once_share_one_cache_folder(tmp_path):
         assert len(_built(tmp_path)) == 1
 
 
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("policy", ["session_lfu", "lru"])
+@pytest.mark.parametrize("rank, after_first", [(-3, False), (10 ** 12, True)],
+                         ids=["negative_before_first", "huge_after_first"])
+def test_replay_refuses_ranks_changed_after_its_check(kernel, policy, rank,
+                                                     after_first):
+    # replay checks the ranks when it is called, and its generator reads
+    # them again at each capacity: a rank changed in between is a
+    # ValueError, not a read out of bounds. The probe runs in its own
+    # interpreter, since such a read can kill it.
+    if kernel and cache_module._kernel() is None:
+        pytest.skip("no replay kernel")
+    probe = f"""if True:
+        import numpy as np
+        from proxysim import cache
+        if not {kernel}:
+            cache._kernel = lambda: None
+        ranks = np.arange(100, dtype=np.int64) % 20
+        flags = cache.replay({policy!r}, ranks, [5, 6])
+        if {after_first}:
+            next(flags)
+        ranks[10] = {rank}
+        try:
+            next(flags)
+        except ValueError as exc:
+            print(exc)
+    """
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "ranks must be in 0..19\n"), \
+        proc.stderr
+
+
 def test_replay_and_simulate_workload_take_an_iterator_of_capacities():
     # each reads its capacities once, so an iterator gives one result
     # per capacity, as its list does
@@ -583,8 +617,8 @@ def test_tally_rejects_flags_not_one_bool_per_request(monkeypatch, kernel):
 @pytest.mark.parametrize("policy", ["session_lfu", "lru"])
 def test_simulate_workload_allocates_nothing_per_hit(policy):
     # tracemalloc sees numpy's data buffers: beyond the workload, a run
-    # keeps one flag byte per request and arrays over ranks, and builds
-    # no array of the hit requests' ranks
+    # keeps one flag byte per request, for one capacity at a time, and
+    # arrays over ranks, and builds no array of the hit requests' ranks
     if cache_module._kernel() is None:
         pytest.skip("no replay kernel; the numpy tally allocates per request")
     total = 200_000
@@ -598,4 +632,4 @@ def test_simulate_workload_allocates_nothing_per_hit(policy):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * total
+    assert peak < 2 * total

@@ -570,7 +570,11 @@ def test_bad_fields_refused_before_any_rank_is_drawn(tmp_path, capsys,
     def no_draw(*args, **kwargs):
         raise AssertionError("ranks drawn before the fields were checked")
 
+    def no_read(*args, **kwargs):
+        raise AssertionError("trace read before the fields were checked")
+
     monkeypatch.setattr(workload, "sample_ranks", no_draw)
+    monkeypatch.setattr(cli, "load_trace", no_read)
     catalog = build_catalog(20, 0.7)
     with pytest.raises(ValueError,
                        match="^session_size must be an int >= 1, got 0$"):
@@ -582,14 +586,24 @@ def test_bad_fields_refused_before_any_rank_is_drawn(tmp_path, capsys,
            "--out-dir", str(out)]
     swp = ["sweep", *point, "--alphas", "0.7", "--capacities", "5",
            "--out-dir", str(out)]
+    trace = ["run", "--trace", str(tmp_path / "t.trace"), "--capacity", "5",
+             "--seed", "3", "--out-dir", str(out)]
     session = "session_size must be an int >= 1, got 0"
     sizes = "size_range lower bound must be > 0, got 0.0"
+    capacity = "cache_capacity must be >= 1, got 0"
+    k = "k must be in [0, 1], got 2.0"
     for argv, message in (
             (_gen_args(out, objects=20, requests=50, session=0), session),
             ([*run, "--session", "0"], session),
             ([*swp, "--session", "0"], session),
             ([*run, "--sizes", "0,1"], sizes),
-            ([*swp, "--sizes", "0,1"], sizes)):
+            ([*swp, "--sizes", "0,1"], sizes),
+            ([*run, "--capacity", "0"], capacity),
+            ([*swp, "--capacities", "0,10"], capacity),
+            ([*trace, "--capacity", "0"], capacity),
+            ([*run, "--k", "2"], k),
+            ([*swp, "--k", "2"], k),
+            ([*trace, "--k", "2"], k)):
         assert main(argv) == 1, argv
         _assert_one_line_error(capsys, message)
         assert not out.exists()

@@ -342,8 +342,9 @@ def test_default_alphas_grid():
 
 
 def test_config_validation():
-    # SimConfig checks only that its lists are non-empty; every other
-    # input is rejected where the run consumes it, before anything returns
+    # SimConfig checks that its lists are non-empty and the bandwidth
+    # parameters at each capacity; every other input is rejected where
+    # the run consumes it, before anything returns
     with pytest.raises(ValueError):
         _config(alpha=())
     with pytest.raises(ValueError):
