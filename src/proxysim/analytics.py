@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .popularity import ZipfCatalog, check_rank
+from .popularity import ZipfCatalog, check_count
 from .workload import ObjectAttributes, format_rows
 
 ASYMPTOTIC_MODES = ("paper", "corrected")
@@ -49,9 +49,7 @@ class BandwidthParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.k <= 1.0:
             raise ValueError(f"k must be in [0, 1], got {self.k}")
-        if self.cache_capacity < 1:
-            raise ValueError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}")
+        check_count("cache_capacity", self.cache_capacity)
         if self.rate_convention not in RATE_CONVENTIONS:
             raise ValueError(
                 f"rate_convention must be one of {RATE_CONVENTIONS}, "
@@ -87,15 +85,14 @@ def finite_total(total: float) -> float:
 def _miss_term(catalog: ZipfCatalog, r_requests: int,
                ranks: slice) -> np.ndarray:
     """The one miss formula: ``(1 - p_i)**R`` for the 0-based ``ranks``."""
-    if r_requests < 0:
-        raise ValueError(f"r_requests must be >= 0, got {r_requests}")
-    return np.power(1.0 - catalog.probabilities[ranks], r_requests)
+    return np.power(1.0 - catalog.probabilities[ranks],
+                    check_count("r_requests", r_requests, 0))
 
 
 def miss_probability(catalog: ZipfCatalog, rank: int, r_requests: int) -> float:
     """Probability that ``rank`` (1-based) is absent from ``r_requests``
     i.i.d. draws: ``(1 - p(rank))**R``, 1.0 for an empty stream."""
-    check_rank(catalog, rank, "rank")
+    rank = check_count("rank", rank, 1, catalog.n_objects)
     return float(_miss_term(catalog, r_requests, slice(rank - 1, rank))[0])
 
 
@@ -108,14 +105,14 @@ def hit_miss_on_demand(catalog: ZipfCatalog, r_requests: int,
     after ``R`` requests. Equals the plain top-rank mass at ``R = 0``
     and vanishes geometrically as ``R`` grows.
     """
-    check_rank(catalog, upper_rank, "upper_rank")
+    upper_rank = check_count("upper_rank", upper_rank, 1, catalog.n_objects)
     return float(np.sum(catalog.probabilities[:upper_rank]
                         * _miss_term(catalog, r_requests, slice(upper_rank))))
 
 
 def top_c_mass(catalog: ZipfCatalog, c: int) -> float:
     """Exact probability mass of the ``c`` most popular ranks."""
-    check_rank(catalog, c, "c")
+    c = check_count("c", c, 1, catalog.n_objects)
     return float(catalog.probabilities[:c].sum())
 
 
@@ -138,7 +135,7 @@ def top_c_mass_asymptotic(catalog: ZipfCatalog, c: int, mode: str) -> float:
     if mode not in ASYMPTOTIC_MODES:
         raise ValueError(
             f"mode must be one of {ASYMPTOTIC_MODES}, got {mode!r}")
-    check_rank(catalog, c, "c")
+    c = check_count("c", c, 1, catalog.n_objects)
     alpha = catalog.alpha
     if alpha == 1.0:
         raise ValueError("asymptotic mass is singular at alpha = 1")
@@ -180,9 +177,10 @@ def model_report(catalog: ZipfCatalog, attributes: ObjectAttributes,
     per_rank_bandwidth = params.k * mass * per_rank_rate(
         attributes.sizes[:n], attributes.channel_times[:n],
         params.rate_convention)
+    per_rank_miss = _miss_term(catalog, r_requests, slice(n))
     return ModelReport(
-        per_rank_miss=_miss_term(catalog, r_requests, slice(n)),
-        h_demand=hit_miss_on_demand(catalog, r_requests, n),
+        per_rank_miss=per_rank_miss,
+        h_demand=float(np.sum(catalog.probabilities[:n] * per_rank_miss)),
         top_c_mass=mass,
         per_rank_bandwidth=per_rank_bandwidth,
         aggregate_bandwidth=finite_total(float(per_rank_bandwidth.sum())),

@@ -34,6 +34,8 @@ from heapq import heappush, heapreplace
 
 import numpy as np
 
+from .popularity import check_count
+
 POLICIES = ("session_lfu", "lru", "lfu_classic")
 _SOURCE = os.path.join(os.path.dirname(__file__), "_replay.c")
 _WINDOW = 1 << 16       # requests per Python list in the Python replay
@@ -45,20 +47,17 @@ def replay(policy: str, requests: np.ndarray,
     ``capacities``; yields one array of hit flags, one per request, for
     each capacity in turn, so a caller can drop each before the next.
 
-    The policy, every capacity, which must be an int >= 1, and the
-    ranks, which must be a 1-d array of non-negative ints, are checked
-    here, before any replay; each replay checks its ranks again, so a
-    rank changed since is a ``ValueError``. Both policies keep arrays
+    The policy, every capacity, an int >= 1 by ``check_count``'s rule,
+    and the ranks, which must be a 1-d array of non-negative ints, are
+    checked here, before any replay; each replay checks its ranks again,
+    so a rank changed since is a ``ValueError``. Both policies keep arrays
     over ranks, so ranks larger than the number of requests are first
     numbered densely in sorted order, which changes no flag.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    capacities = tuple(capacities)      # an iterator is walked only once
-    for capacity in capacities:
-        if (not isinstance(capacity, (int, np.integer))
-                or isinstance(capacity, bool) or capacity < 1):
-            raise ValueError(f"capacity must be an int >= 1, got {capacity!r}")
+    # an iterator is walked only once
+    capacities = tuple(check_count("capacity", c) for c in capacities)
     if not (isinstance(requests, np.ndarray) and requests.ndim == 1
             and requests.dtype.kind in "iu" and requests.min(initial=0) >= 0):
         raise ValueError("ranks must be a 1-d array of non-negative ints")

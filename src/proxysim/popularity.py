@@ -41,6 +41,18 @@ class ZipfCatalog:
     probabilities: np.ndarray
 
 
+def check_count(name: str, value, least: int = 1,
+                most: int | None = None) -> int:
+    """The one rule for a count: an int or numpy integer, not a bool, in
+    ``least..most`` (no top if ``most`` is None); a ``ValueError`` names it."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer))
+            and least <= value <= (value if most is None else most)):
+        bounds = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an int {bounds}, got {value}")
+    return int(value)
+
+
 def generalized_harmonic(n: int, alpha: float) -> float:
     """Partial sum ``sum(i**-alpha for i in 1..n)``.
 
@@ -58,9 +70,7 @@ def generalized_harmonic(n: int, alpha: float) -> float:
     float
         The partial sum, always >= 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ranks = np.arange(1, n + 1, dtype=np.float64)
+    ranks = np.arange(1, check_count("n", n) + 1, dtype=np.float64)
     return float(np.power(ranks, -alpha).sum())
 
 
@@ -81,24 +91,16 @@ def build_catalog(n_objects: int, alpha: float) -> ZipfCatalog:
     Raises
     ------
     ValueError
-        If ``n_objects < 1`` or ``alpha`` is negative or non-finite.
+        If ``n_objects`` is not an int >= 1, or ``alpha`` not finite >= 0.
     """
-    if n_objects < 1:
-        raise ValueError(f"n_objects must be >= 1, got {n_objects}")
+    n_objects = check_count("n_objects", n_objects)
     if not math.isfinite(alpha) or alpha < 0:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     normalizer = 1.0 / generalized_harmonic(n_objects, alpha)
     ranks = np.arange(1, n_objects + 1, dtype=np.float64)
-    return ZipfCatalog(n_objects=int(n_objects), alpha=float(alpha),
+    return ZipfCatalog(n_objects=n_objects, alpha=float(alpha),
                        normalizer=normalizer,
                        probabilities=np.power(ranks, -alpha) * normalizer)
-
-
-def check_rank(catalog: ZipfCatalog, value: int, name: str) -> None:
-    """The one check of a 1-based rank or rank count against the catalog."""
-    if not 1 <= value <= catalog.n_objects:
-        raise ValueError(
-            f"{name} must be in 1..{catalog.n_objects}, got {value}")
 
 
 def probability(catalog: ZipfCatalog, rank: int) -> float:
@@ -110,7 +112,7 @@ def probability(catalog: ZipfCatalog, rank: int) -> float:
         If ``rank`` is outside ``1..catalog.n_objects``; an out-of-range
         rank is a caller bug, never a silent zero.
     """
-    check_rank(catalog, rank, "rank")
+    rank = check_count("rank", rank, 1, catalog.n_objects)
     return float(catalog.probabilities[rank - 1])
 
 
@@ -137,6 +139,7 @@ def sample_ranks(
         As ``rng.choice`` did, unless the probabilities are ``n_objects``
         non-negative values summing to 1 within ``sqrt(eps)``.
     """
+    size = check_count("size", size, 0)
     p = np.asarray(catalog.probabilities, dtype=np.float64)
     # p >= 0 is False for NaN; a hand-built catalog skips build_catalog
     if not (p.shape == (catalog.n_objects,) and (p >= 0).all()
@@ -147,7 +150,7 @@ def sample_ranks(
     cdf /= cdf[-1]
     # about 4N buckets, but no more than about size of them, so that a
     # small draw does not pay for a large table
-    bits = min((p.size - 1).bit_length() + 2, int(size).bit_length(),
+    bits = min((p.size - 1).bit_length() + 2, size.bit_length(),
                _GUIDE_BITS_MAX)
     scale = float(1 << bits)
     # edges[k] counts the CDF points <= k / 2**b, exactly: the edges are
@@ -182,9 +185,7 @@ def power_modulus(n: int, s: complex) -> float:
     """
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError("exponent parts must be finite")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return float(n) ** -s.real
+    return float(check_count("n", n)) ** -s.real
 
 
 def zeta_partial_terms(
@@ -216,15 +217,13 @@ def zeta_partial_terms(
     ------
     ValueError
         If a part of ``s`` is not finite, ``s.real <= 0`` or
-        ``n_terms < 1``.
+        ``n_terms`` is not an int >= 1.
     """
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError("exponent parts must be finite")
     if s.real <= 0:
         raise ValueError(f"sigma must be > 0, got {s.real}")
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
+    n = np.arange(1, check_count("n_terms", n_terms) + 1, dtype=np.float64)
     direct = np.power(n.astype(np.complex128), -s)
     if s == 1:
         integral = np.log((n + 1) / n).astype(np.complex128)

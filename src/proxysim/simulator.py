@@ -22,7 +22,7 @@ import numpy as np
 from .analytics import (RATE_CONVENTIONS, BandwidthParams, finite_total,
                         model_report, per_rank_rate)
 from .cache import replay, tally
-from .popularity import build_catalog
+from .popularity import build_catalog, check_count
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
                        DEFAULT_TIME_RANGE, ObjectAttributes, Workload,
                        assign_attributes, format_rows, generate_workload,
@@ -54,13 +54,17 @@ class SimConfig:
     rate_convention: str = "product"
 
     def __post_init__(self) -> None:
-        # the bandwidth parameters are checked here, before any draw or
-        # worker; every other input where it is consumed: the catalog,
-        # the workload draw and the replay
+        # each field but the seed and the policy is checked here, before
+        # any draw or worker: alpha and the ranges as for one object
         if not self.alphas:
             raise ValueError("alpha list must be non-empty")
         if not self.capacities:
             raise ValueError("cache_capacity list must be non-empty")
+        for name in ("n_objects", "total_requests", "session_size"):
+            check_count(name, getattr(self, name))
+        for alpha in self.alphas:
+            build_catalog(1, alpha)
+        assign_attributes(1, self.size_range, self.time_range)
         for capacity in self.capacities:
             BandwidthParams(self.k, capacity, self.rate_convention)
 
@@ -104,10 +108,8 @@ class CapacityComparison(NamedTuple):
 def spawn_seeds(seed: int, n: int) -> list[int]:
     """The one seed rule: ``n`` independent 32-bit seeds from ``seed``.
     Every draw takes ``(workload_seed, attr_seed)`` from ``n=2``."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return [int(child.generate_state(1, np.uint32)[0])
-            for child in np.random.SeedSequence(seed).spawn(n)]
+    seeds = np.random.SeedSequence(check_count("seed", seed, 0)).spawn(n)
+    return [int(child.generate_state(1, np.uint32)[0]) for child in seeds]
 
 
 def simulate_workload(workload: Workload, attrs: ObjectAttributes,
@@ -161,7 +163,6 @@ def _simulate_alpha(config: SimConfig) -> list[SimReport]:
         raise ValueError("needs a scalar alpha; use sweep() for lists")
     workload_seed, attr_seed = spawn_seeds(config.seed, 2)
     catalog = build_catalog(config.n_objects, config.alpha)
-    # the attribute table first: its ranges are checked before the draw
     attrs = assign_attributes(config.n_objects, config.size_range,
                               config.time_range, attr_seed)
     workload = generate_workload(catalog, config.total_requests,
@@ -299,7 +300,7 @@ def fit_power_law(counts, max_rank: int) -> tuple[float, float]:
         Constant counts are a flat fit, ``(0.0, 1.0)``.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    upper = min(int(max_rank), counts.size)
+    upper = min(check_count("max_rank", max_rank), counts.size)
     ranks = np.arange(1, upper + 1, dtype=np.float64)
     y = counts[:upper]
     usable = y > 0

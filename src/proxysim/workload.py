@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .popularity import ZipfCatalog, sample_ranks
+from .popularity import ZipfCatalog, check_count, sample_ranks
 
 DEFAULT_SIZE_RANGE = (1.0, 15.0)   # kilobits
 DEFAULT_TIME_RANGE = (1.0, 10.0)   # milliseconds
@@ -75,15 +75,10 @@ class Workload:
     n_objects: int
 
     def __post_init__(self) -> None:
-        for name, top in (("n_objects", _MAX_OBJECTS), ("session_size", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, np.integer))
-                    and 1 <= value <= (top or value)):
-                bounds = f"in 1..{top}" if top else ">= 1"
-                raise ValueError(
-                    f"{name} must be an int {bounds}, got {value}")
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "n_objects", check_count(
+            "n_objects", self.n_objects, 1, _MAX_OBJECTS))
+        object.__setattr__(self, "session_size",
+                           check_count("session_size", self.session_size))
         requests = self.requests
         if requests.ndim != 1:
             raise ValueError(f"requests must be 1-d, got {requests.shape}")
@@ -105,8 +100,7 @@ def generate_workload(
     catalog: ZipfCatalog, total_requests: int, session_size: int, seed: int
 ) -> Workload:
     """Draw ``total_requests`` i.i.d. ranks; deterministic per seed."""
-    if total_requests < 1:
-        raise ValueError(f"total_requests must be >= 1, got {total_requests}")
+    total_requests = check_count("total_requests", total_requests)
     # the fields are checked before the draw, as those of one request
     Workload(np.ones(1, dtype=np.int64), session_size, catalog.n_objects)
     rng = np.random.default_rng(seed)
@@ -132,8 +126,7 @@ def assign_attributes(
     seed : int
         Seed for the attribute stream; same seed, same table.
     """
-    if n_objects < 1:
-        raise ValueError(f"n_objects must be >= 1, got {n_objects}")
+    n_objects = check_count("n_objects", n_objects)
     for name, (lo, hi) in (("size_range", size_range),
                            ("time_range", time_range)):
         if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -366,7 +367,7 @@ def test_estimate_rejects_negative_requests(tmp_path, capsys):
     assert main(["estimate", "--objects", "100", "--alpha", "0.7",
                  "--capacity", "10", "--requests", "-1", "--seed", "4",
                  "--out", str(out)]) == 1
-    _assert_one_line_error(capsys, "r_requests must be >= 0, got -1")
+    _assert_one_line_error(capsys, "r_requests must be an int >= 0, got -1")
     assert not out.exists()
 
 
@@ -542,12 +543,12 @@ def test_run_trace_rejects_out_of_range_k(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("objects", "0", "n_objects must be >= 1, got 0"),
-    ("requests", "0", "total_requests must be >= 1, got 0"),
+    ("objects", "0", "n_objects must be an int >= 1, got 0"),
+    ("requests", "0", "total_requests must be an int >= 1, got 0"),
     ("session", "0", "session_size must be an int >= 1, got 0"),
     ("alpha", "-0.5", "alpha must be finite and >= 0, got -0.5"),
     ("k", "1.5", "k must be in [0, 1], got 1.5"),
-    ("capacity", "0", "cache_capacity must be >= 1, got 0")])
+    ("capacity", "0", "cache_capacity must be an int >= 1, got 0")])
 def test_bad_run_and_sweep_values_rejected(tmp_path, capsys, flag, value,
                                            message):
     # each value is rejected where the run consumes it: one error line,
@@ -590,7 +591,7 @@ def test_bad_fields_refused_before_any_rank_is_drawn(tmp_path, capsys,
              "--seed", "3", "--out-dir", str(out)]
     session = "session_size must be an int >= 1, got 0"
     sizes = "size_range lower bound must be > 0, got 0.0"
-    capacity = "cache_capacity must be >= 1, got 0"
+    capacity = "cache_capacity must be an int >= 1, got 0"
     k = "k must be in [0, 1], got 2.0"
     for argv, message in (
             (_gen_args(out, objects=20, requests=50, session=0), session),
@@ -607,6 +608,34 @@ def test_bad_fields_refused_before_any_rank_is_drawn(tmp_path, capsys,
         assert main(argv) == 1, argv
         _assert_one_line_error(capsys, message)
         assert not out.exists()
+
+
+def test_bad_sweep_fields_refused_before_any_worker(tmp_path, capsys,
+                                                   monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    # two CPUs, so that a sweep of several alphas starts a pool
+    monkeypatch.setattr(simulator, "_available_cpus", lambda: 2)
+    out = tmp_path / "out"
+    base = ["sweep", "--objects=100", "--requests=1000", "--seed=3",
+            "--out-dir", str(out)]
+    with pytest.raises(AssertionError, match="a worker pool started"):
+        main(base)
+    alpha = "alpha must be finite and >= 0, got -1.0"
+    for flag, message in (
+            ("--sizes=0,1", "size_range lower bound must be > 0, got 0.0"),
+            ("--times=5,1", "time_range is empty: [5.0, 1.0]"),
+            ("--session=0", "session_size must be an int >= 1, got 0"),
+            ("--objects=0", "n_objects must be an int >= 1, got 0"),
+            ("--requests=0", "total_requests must be an int >= 1, got 0"),
+            ("--alphas=-1,0.5", alpha),
+            ("--alphas=0.5,-1", alpha)):
+        assert main([*base, flag]) == 1, flag
+        _assert_one_line_error(capsys, message)
+        assert not out.exists(), flag
 
 
 def test_negative_seed_rejected_by_every_command(tmp_path, capsys):
@@ -627,7 +656,7 @@ def test_negative_seed_rejected_by_every_command(tmp_path, capsys):
     ]
     for argv in commands:
         assert main(argv) == 1, argv
-        _assert_one_line_error(capsys, "seed must be >= 0, got -1")
+        _assert_one_line_error(capsys, "seed must be an int >= 0, got -1")
         assert not out.exists()
 
 

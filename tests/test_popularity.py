@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from proxysim import cache
+from proxysim.analytics import (BandwidthParams, hit_miss_on_demand,
+                                miss_probability, model_report, top_c_mass,
+                                top_c_mass_asymptotic)
+from proxysim.cache import replay
 from proxysim.popularity import (ZipfCatalog, build_catalog,
                                  generalized_harmonic, power_modulus,
                                  probability, sample_ranks,
                                  zeta_partial_terms)
+from proxysim.simulator import SimConfig, fit_power_law, spawn_seeds
+from proxysim.workload import Workload, assign_attributes, generate_workload
 
 EULER_GAMMA = 0.5772156649015329
 ZETA2_MINUS_ONE = math.pi ** 2 / 6.0 - 1.0
@@ -91,8 +98,76 @@ def test_probability_lookup_and_range_check():
 
 def test_probability_out_of_range_message():
     # the one rank check of the package names the catalog's range
-    with pytest.raises(ValueError, match=r"^rank must be in 1\.\.5, got 7$"):
+    with pytest.raises(ValueError,
+                       match=r"^rank must be an int in 1\.\.5, got 7$"):
         probability(build_catalog(5, 0.7), 7)
+
+
+_CAT5 = build_catalog(5, 0.7)
+_SIM = dict(n_objects=20, alpha=0.7, total_requests=50, cache_capacity=5,
+            seed=3)
+
+
+def _replay_without_kernel(capacity):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache, "_kernel", lambda: None)
+        return list(replay("lru", np.array([1, 2, 1]), [capacity]))
+
+
+# (what is called, the count's name, its least value, the call)
+_COUNTS = [
+    ("generalized_harmonic", "n", 1, lambda v: generalized_harmonic(v, 1.0)),
+    ("build_catalog", "n_objects", 1, lambda v: build_catalog(v, 0.7)),
+    ("power_modulus", "n", 1, lambda v: power_modulus(v, 2.0)),
+    ("zeta_partial_terms", "n_terms", 1,
+     lambda v: zeta_partial_terms(2.0, v)),
+    ("sample_ranks", "size", 0,
+     lambda v: sample_ranks(_CAT5, v, np.random.default_rng(1))),
+    ("probability", "rank", 1, lambda v: probability(_CAT5, v)),
+    ("Workload.n_objects", "n_objects", 1,
+     lambda v: Workload(np.ones(1, dtype=np.int64), 2, v)),
+    ("Workload.session_size", "session_size", 1,
+     lambda v: Workload(np.ones(1, dtype=np.int64), v, 5)),
+    ("generate_workload", "total_requests", 1,
+     lambda v: generate_workload(_CAT5, v, 2, seed=1)),
+    ("assign_attributes", "n_objects", 1, lambda v: assign_attributes(v)),
+    ("replay", "capacity", 1,
+     lambda v: list(replay("lru", np.array([1, 2, 1]), [v]))),
+    ("replay, no kernel", "capacity", 1, _replay_without_kernel),
+    ("BandwidthParams", "cache_capacity", 1,
+     lambda v: BandwidthParams(1.0, v)),
+    ("miss_probability.rank", "rank", 1,
+     lambda v: miss_probability(_CAT5, v, 10)),
+    ("miss_probability.r_requests", "r_requests", 0,
+     lambda v: miss_probability(_CAT5, 1, v)),
+    ("hit_miss_on_demand", "upper_rank", 1,
+     lambda v: hit_miss_on_demand(_CAT5, 10, v)),
+    ("model_report", "r_requests", 0,
+     lambda v: model_report(_CAT5, assign_attributes(5),
+                            BandwidthParams(1.0, 2), v)),
+    ("top_c_mass", "c", 1, lambda v: top_c_mass(_CAT5, v)),
+    ("top_c_mass_asymptotic", "c", 1,
+     lambda v: top_c_mass_asymptotic(_CAT5, v, "corrected")),
+    ("spawn_seeds", "seed", 0, lambda v: spawn_seeds(v, 2)),
+    ("fit_power_law", "max_rank", 1,
+     lambda v: fit_power_law([5.0, 3.0, 2.0, 1.0], v)),
+    *((f"SimConfig.{name}", name, 1,
+       lambda v, name=name: SimConfig(**{**_SIM, name: v}))
+      for name in ("n_objects", "total_requests", "session_size",
+                   "cache_capacity")),
+]
+
+
+@pytest.mark.parametrize("name, least, call",
+                         [case[1:] for case in _COUNTS],
+                         ids=[case[0] for case in _COUNTS])
+def test_every_count_follows_one_rule(name, least, call):
+    # a count is an int or a numpy integer, never a bool, float or
+    # string, and each bad one is one ValueError that names it
+    call(np.int64(3))
+    for bad in (2.5, True, np.float64(3.0), "3", least - 1):
+        with pytest.raises(ValueError, match=f"^{name} must be an int "):
+            call(bad)
 
 
 def _inverse_cdf_ranks(cat, size, rng):
@@ -283,5 +358,5 @@ def test_zeta_rejects_bad_inputs():
             zeta_partial_terms(s, 10)
         with pytest.raises(ValueError, match="exponent parts must be finite"):
             power_modulus(4, s)
-    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="n must be an int >= 1, got 0"):
         power_modulus(0, 2.0)

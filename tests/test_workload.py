@@ -78,7 +78,8 @@ def test_attributes_deterministic():
 
 
 def test_attributes_reject_bad_ranges():
-    with pytest.raises(ValueError, match="n_objects must be >= 1, got 0"):
+    with pytest.raises(ValueError,
+                       match="n_objects must be an int >= 1, got 0"):
         assign_attributes(0)
     with pytest.raises(ValueError):
         assign_attributes(5, (0.0, 15.0), (1.0, 10.0), seed=1)
