@@ -15,7 +15,7 @@ from .analytics import (ASYMPTOTIC_MODES, RATE_CONVENTIONS, BandwidthParams,
 from .cache import POLICIES
 from .popularity import build_catalog
 from .simulator import (DEFAULT_ALPHAS, SimConfig, SimReport, compare_run,
-                        run_simulation, simulate_workload, spawn_seeds, sweep,
+                        simulate_alpha, simulate_workload, spawn_seeds, sweep,
                         write_comparison_csv, write_json, write_report_csv,
                         write_summary_json)
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
@@ -294,7 +294,8 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         _require(sub, args, "objects", "requests", "alpha")
         if args.compare:
             _require_capacity_fits(sub, args)
-        report = run_simulation(_sim_config(args, args.alpha, args.capacity))
+        catalog, attrs, (report,) = simulate_alpha(
+            _sim_config(args, args.alpha, args.capacity))
     else:
         if args.compare:
             sub.error("--compare requires generation flags, not --trace")
@@ -316,7 +317,8 @@ def cmd_run(sub: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         report = simulate_workload(workload, attrs, [args.capacity],
                                    args.policy, args.k, args.rate, echo)[0]
 
-    comparison = compare_run([report]) if args.compare else None
+    comparison = (compare_run([report], catalog, attrs) if args.compare
+                  else None)
 
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {

@@ -22,7 +22,7 @@ import numpy as np
 from .analytics import (RATE_CONVENTIONS, BandwidthParams, finite_total,
                         model_report, per_rank_rate)
 from .cache import replay, tally
-from .popularity import build_catalog, check_count
+from .popularity import ZipfCatalog, build_catalog, check_count
 from .workload import (DEFAULT_SESSION_SIZE, DEFAULT_SIZE_RANGE,
                        DEFAULT_TIME_RANGE, ObjectAttributes, Workload,
                        assign_attributes, format_rows, generate_workload,
@@ -54,8 +54,8 @@ class SimConfig:
     rate_convention: str = "product"
 
     def __post_init__(self) -> None:
-        # each field but the seed and the policy is checked here, before
-        # any draw or worker: alpha and the ranges as for one object
+        # every field but the seed is checked here, before any draw or worker:
+        # alpha and the ranges for one object, the policy for no request
         if not self.alphas:
             raise ValueError("alpha list must be non-empty")
         if not self.capacities:
@@ -67,6 +67,7 @@ class SimConfig:
         assign_attributes(1, self.size_range, self.time_range)
         for capacity in self.capacities:
             BandwidthParams(self.k, capacity, self.rate_convention)
+        replay(self.policy, np.zeros(0, dtype=np.int64), self.capacities)
 
     @property
     def alphas(self) -> tuple[float, ...]:
@@ -156,9 +157,11 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
     return reports
 
 
-def _simulate_alpha(config: SimConfig) -> list[SimReport]:
+def simulate_alpha(config: SimConfig) -> tuple[ZipfCatalog, ObjectAttributes,
+                                                list[SimReport]]:
     """Draw the catalog, attribute table and workload of the config's
-    scalar alpha once and replay them at each of its capacities."""
+    scalar alpha once and replay them at each of its capacities;
+    returns ``(catalog, attrs, reports)``."""
     if isinstance(config.alpha, (tuple, list)):
         raise ValueError("needs a scalar alpha; use sweep() for lists")
     workload_seed, attr_seed = spawn_seeds(config.seed, 2)
@@ -171,9 +174,9 @@ def _simulate_alpha(config: SimConfig) -> list[SimReport]:
             "workload_seed": workload_seed, "attr_seed": attr_seed,
             "size_range": list(config.size_range),
             "time_range": list(config.time_range)}
-    return simulate_workload(workload, attrs, config.capacities,
-                             config.policy, config.k, config.rate_convention,
-                             echo)
+    return catalog, attrs, simulate_workload(
+        workload, attrs, config.capacities, config.policy, config.k,
+        config.rate_convention, echo)
 
 
 def run_simulation(config: SimConfig) -> SimReport:
@@ -182,7 +185,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     if isinstance(config.cache_capacity, (tuple, list)):
         raise ValueError("run_simulation needs a scalar capacity; "
                          "use sweep() for lists")
-    return _simulate_alpha(config)[0]
+    return simulate_alpha(config)[2][0]
 
 
 def _available_cpus() -> int:
@@ -195,10 +198,10 @@ def _available_cpus() -> int:
 
 def _sweep_alpha(config: SimConfig, stage) -> list:
     """The reports of one sweep alpha, each passed through ``stage``
-    unless it is None. Apart from :func:`_simulate_alpha`, so that the
+    unless it is None. Apart from :func:`simulate_alpha`, so that the
     alpha's catalog, attribute table and workload (8 MB at R=1e6) are
     freed before ``stage`` runs; folded, a sweep's peak RSS rose."""
-    reports = _simulate_alpha(config)
+    reports = simulate_alpha(config)[2]
     return reports if stage is None else list(map(stage, reports))
 
 
@@ -242,24 +245,22 @@ def sweep(config: SimConfig, stage=None) -> list:
     return [result for results in per_alpha for result in results]
 
 
-def compare_run(reports: list[SimReport]) -> list[CapacityComparison]:
+def compare_run(reports: list[SimReport], catalog: ZipfCatalog,
+                attrs: ObjectAttributes) -> list[CapacityComparison]:
     """Put each report next to the closed-form model, one row per report.
 
     A row holds the report's capacity, its hit ratio, the exact mass of
     the top ``C`` ranks, their absolute gap, and the report's total
     imported bandwidth next to the model's aggregate per rate convention,
     all read from :func:`~proxysim.analytics.model_report` over the
-    catalog and attribute table that the report's config echo records.
-    A trace replay's echo has no ``alpha``: a ``ValueError``.
+    given catalog and attribute table, the draws that made the reports:
+    a catalog of another size, or a shorter table, is a ``ValueError``.
     """
     rows = []
     for report in reports:
         echo = report.config
-        if "alpha" not in echo:
-            raise ValueError("a trace replay's report has no alpha to model")
-        catalog = build_catalog(echo["n_objects"], echo["alpha"])
-        attrs = assign_attributes(echo["n_objects"], echo["size_range"],
-                                  echo["time_range"], echo["attr_seed"])
+        if not catalog.n_objects == report.requests.size <= attrs.sizes.size:
+            raise ValueError("the draws do not cover the report's ranks")
         capacity = echo["cache_capacity"]
         model = {conv: model_report(catalog, attrs,
                                     BandwidthParams(echo["k"], capacity, conv),
@@ -279,10 +280,10 @@ def compare_run(reports: list[SimReport]) -> list[CapacityComparison]:
 
 
 def compare_analytic(config: SimConfig) -> list[CapacityComparison]:
-    """Measure hit ratios against the closed-form top-rank mass: the
-    :func:`compare_run` table of one replay of the config's scalar alpha
-    at each of its capacities."""
-    return compare_run(_simulate_alpha(config))
+    """The :func:`compare_run` table of one :func:`simulate_alpha`: the
+    config's scalar alpha replayed at each of its capacities."""
+    catalog, attrs, reports = simulate_alpha(config)
+    return compare_run(reports, catalog, attrs)
 
 
 def fit_power_law(counts, max_rank: int) -> tuple[float, float]:

@@ -9,7 +9,8 @@ from proxysim.analytics import (BandwidthParams, ModelReport,
                                 model_report, per_rank_rate, top_c_mass,
                                 top_c_mass_asymptotic, write_model_report_csv)
 from proxysim.popularity import build_catalog
-from proxysim.workload import ObjectAttributes, assign_attributes
+from proxysim.workload import (ObjectAttributes, assign_attributes,
+                               generate_workload, rank_histogram)
 from tricky_numbers import FLOATS, columns
 
 
@@ -195,6 +196,25 @@ def test_model_report_fields_and_ranges():
     assert report.aggregate_bandwidth == pytest.approx(
         float(report.per_rank_bandwidth.sum()), rel=1e-12)
     assert report.h_demand == hit_miss_on_demand(cat, 10 ** 5, 200)
+
+
+@pytest.mark.parametrize("n_objects,r_requests", [(10 ** 4, 2 * 10 ** 4),
+                                                   (1000, 3000)])
+def test_miss_probability_predicts_unrequested_ranks(n_objects, r_requests):
+    # the ranks a draw never requests number sum(m) on average, with an
+    # SD of at most sqrt(sum m(1-m)): the indicators are negatively
+    # correlated, so 4 such SDs is a conservative bound
+    attrs = assign_attributes(n_objects, seed=0)
+    for alpha in (0.98, 0.64, 0.31):
+        cat = build_catalog(n_objects, alpha)
+        miss = model_report(cat, attrs, BandwidthParams(1.0, 1),
+                            r_requests).per_rank_miss
+        sd = np.sqrt(np.sum(miss * (1.0 - miss)))
+        for seed in range(5):
+            counts = rank_histogram(generate_workload(cat, r_requests, 100,
+                                                      seed))
+            unrequested = int(np.count_nonzero(counts == 0))
+            assert abs(unrequested - miss.sum()) <= 4 * sd, (alpha, seed)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

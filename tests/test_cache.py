@@ -91,6 +91,23 @@ def walk_lru_flags(ranks, capacity):
     return flags
 
 
+def stack_distances(ranks):
+    """Each request's LRU stack distance: the depth of its rank below
+    the top of a most-recent-last stack, 1 for an immediate repeat and
+    0 on first sight. LRU at capacity C hits exactly where
+    ``1 <= d <= C`` (Mattson et al. 1970), so one pass gives the flags
+    at every capacity."""
+    stack, distances = [], []
+    for rank in ranks:
+        if rank in stack:
+            distances.append(len(stack) - stack.index(rank))
+            stack.remove(rank)
+        else:
+            distances.append(0)
+        stack.append(rank)
+    return np.array(distances)
+
+
 def _outcomes(cache, ranks):
     return [cache.access(r) for r in ranks]
 
@@ -386,6 +403,17 @@ def test_lru_flags_match_pointer_walk_on_zipf_traces(alpha):
                                  1000, seed=21).requests
     capacities = [5000, 10, 1000, 100]
     expected = [walk_lru_flags(requests.tolist(), c) for c in capacities]
+    assert _replays("lru", requests, capacities) == (expected,) * 2
+
+
+@pytest.mark.parametrize("n_objects, alpha", [(50, 0.98), (200, 0.64),
+                                              (30, 0.0)])
+def test_lru_flags_match_stack_distance_at_every_capacity(n_objects, alpha):
+    requests = generate_workload(build_catalog(n_objects, alpha), 3000, 3000,
+                                 seed=n_objects).requests
+    d = stack_distances(requests.tolist())
+    capacities = range(1, len(set(requests.tolist())) + 2)
+    expected = [((d >= 1) & (d <= c)).tolist() for c in capacities]
     assert _replays("lru", requests, capacities) == (expected,) * 2
 
 

@@ -142,6 +142,22 @@ def test_run_compare_matches_compare_analytic(tmp_path):
     assert (out_dir / "comparison.csv").read_bytes() == direct.read_bytes()
 
 
+def test_run_compare_draws_its_inputs_once(tmp_path, monkeypatch):
+    # the comparison reads the catalog and attribute table the run drew;
+    # SimConfig's one-object checks are not counted
+    calls = {"build_catalog": 0, "assign_attributes": 0}
+    for name in calls:
+        def counted(n, *args, _name=name, _real=getattr(simulator, name),
+                    **kwargs):
+            calls[_name] += n == 80
+            return _real(n, *args, **kwargs)
+        monkeypatch.setattr(simulator, name, counted)
+    assert main(["run", "--objects", "80", "--requests", "3000",
+                 "--alpha", "0.7", "--capacity", "10", "--seed", "4",
+                 "--compare", "--out-dir", str(tmp_path / "run")]) == 0
+    assert calls == {"build_catalog": 1, "assign_attributes": 1}
+
+
 def test_sweep_explicit_alphas(tmp_path):
     out_dir = tmp_path / "swp"
     assert main(["sweep", "--objects", "60", "--requests", "600",

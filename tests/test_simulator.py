@@ -220,31 +220,36 @@ def test_compare_analytic_full_cache():
 
 
 def test_compare_run_reads_each_report_echo(monkeypatch):
-    # every sweep point is compared against its own alpha, seed and
-    # capacity, as recorded in its config echo
+    # every sweep point, compared over the draws its echo records, equals
+    # compare_analytic at its own alpha, seed and capacity
     monkeypatch.setattr(simulator, "_available_cpus", lambda: 1)
     config = _config(alpha=(0.5, 0.9), cache_capacity=(5, 20), k=0.6,
                      total_requests=3000, rate_convention="ratio")
     reports = sweep(config)
-    for report, row in zip(reports, compare_run(reports), strict=True):
+    for report in reports:
         echo = report.config
+        catalog = build_catalog(echo["n_objects"], echo["alpha"])
+        attrs = assign_attributes(echo["n_objects"], echo["size_range"],
+                                  echo["time_range"], echo["attr_seed"])
         twin = compare_analytic(_config(
             alpha=echo["alpha"], cache_capacity=echo["cache_capacity"],
             seed=echo["seed"], k=0.6, total_requests=3000,
             rate_convention="ratio"))
-        assert [row] == twin
+        assert compare_run([report], catalog, attrs) == twin
 
 
-def test_compare_run_rejects_trace_replay_report():
-    # a trace replay's echo records no alpha, so there is no model to
-    # compare it with
-    workload = generate_workload(build_catalog(20, 0.7), 200, 10, seed=1)
-    echo = {"trace": "t.trace", "seed": 2, "attr_seed": 2,
-            "size_range": [1.0, 15.0], "time_range": [1.0, 10.0]}
-    report = simulate_workload(workload, assign_attributes(20, seed=2), [5],
-                               "lru", 1.0, "product", echo)[0]
-    with pytest.raises(ValueError, match="alpha"):
-        compare_run([report])
+def test_compare_run_rejects_catalog_of_another_size():
+    # the model is read over the draws given, so a catalog of another
+    # size or a shorter attribute table is refused, not sliced to a
+    # wrong row; a longer table is read over the catalog's ranks
+    catalog, _, reports = simulator.simulate_alpha(_config())
+    longer = assign_attributes(200, seed=2)
+    assert len(compare_run(reports, catalog, longer)) == 1
+    for n in (50, 200):
+        with pytest.raises(ValueError, match="report's ranks"):
+            compare_run(reports, build_catalog(n, 0.75), longer)
+    with pytest.raises(ValueError, match="report's ranks"):
+        compare_run(reports, catalog, assign_attributes(50, seed=2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered",
@@ -342,9 +347,8 @@ def test_default_alphas_grid():
 
 
 def test_config_validation():
-    # SimConfig checks that its lists are non-empty and the bandwidth
-    # parameters at each capacity; every other input is rejected where
-    # the run consumes it, before anything returns
+    # SimConfig checks every field but the seed before any draw; each
+    # bad field is a ValueError from construction, or from the run
     with pytest.raises(ValueError):
         _config(alpha=())
     with pytest.raises(ValueError):
@@ -357,6 +361,19 @@ def test_config_validation():
             run_simulation(_config(**bad))
     with pytest.raises(ValueError, match="k must be in"):
         sweep(_config(cache_capacity=(5, 10), k=1.5))
+
+
+def test_unknown_policy_rejected_before_any_draw(monkeypatch):
+    # the policy is refused as SimConfig is built, with replay's message
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a workload was drawn")
+
+    monkeypatch.setattr(simulator, "generate_workload", no_draw)
+    with pytest.raises(ValueError,
+                       match="^unknown policy 'mystery'; choose from"):
+        _config(policy="mystery")
+    with pytest.raises(ValueError, match="unknown policy"):
+        _config(alpha=(0.5, 0.9), cache_capacity=(5, 10), policy="LRU")
 
 
 def test_scalar_sweep_routing():
