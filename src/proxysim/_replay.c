@@ -1,18 +1,29 @@
 /* Hit flags of a fresh cache replaying a request stream, one function
  * per policy, and the tally of those flags. Ranks should be ints in
  * [0, n_ranks) and 1 <= capacity <= n_ranks; each replay writes one flag
- * per request, 1 for a hit, and returns 0, -1 when it cannot allocate
- * its arrays over ranks, or 1 at the first rank outside [0, n_ranks),
- * before it reads any array at that rank: the ranks may have changed
- * since they were last checked.
+ * per request, 1 for a hit. Every function returns 0 on success, -1
+ * when it cannot allocate its arrays over ranks, or 1 at the first rank
+ * outside its range, before it reads or writes any array at that rank:
+ * the ranks may have changed since they were last checked.
  */
 #include <stdint.h>
 #include <stdlib.h>
 
 /* LFU: evicts the resident with the smallest (count, insertion
- * position). Counts belong to ranks and survive eviction. The residents
- * sit in a binary min-heap on that key; slot[r] is rank r's place in it,
- * or -1 when r is not resident. */
+ * position). Counts belong to ranks and survive eviction. The newest
+ * admission waits in a pending slot; the other residents, the set S,
+ * are marked in member[] and sit in a binary min-heap of (count,
+ * insertion position, rank) entries whose stored count may lag the
+ * rank's count but never exceeds it, so heap[0].count is a lower bound
+ * on every count in S. A hit only counts. While the cache fills, the
+ * entries are appended as they join S, and the heap is ordered once,
+ * when S reaches capacity - 1 entries. A count tie evicts the older
+ * entry, so on a miss on a full cache the pending entry goes, without
+ * a heap operation, when its count is below that bound. Otherwise
+ * lagging tops are refreshed until the top is current or above the
+ * pending count; a current top that this count reaches is the victim,
+ * and the pending entry takes its place. _lfu_python in cache.py runs
+ * the same algorithm, so both make the same decision at every request. */
 typedef struct {
     int64_t count, seq, rank;
 } entry;
@@ -23,7 +34,7 @@ static int below(const entry *a, const entry *b)
 }
 
 /* Moves heap[i], whose key may have grown, down to its place. */
-static void sift_down(entry *heap, int64_t size, int64_t i, int64_t *slot)
+static void sift_down(entry *heap, int64_t size, int64_t i)
 {
     entry moving = heap[i];
     int64_t child;
@@ -33,62 +44,56 @@ static void sift_down(entry *heap, int64_t size, int64_t i, int64_t *slot)
         if (!below(&heap[child], &moving))
             break;
         heap[i] = heap[child];
-        slot[heap[i].rank] = i;
         i = child;
     }
     heap[i] = moving;
-    slot[moving.rank] = i;
-}
-
-/* Moves heap[i], a new entry, up to its place. */
-static void sift_up(entry *heap, int64_t i, int64_t *slot)
-{
-    entry moving = heap[i];
-    while (i > 0 && below(&moving, &heap[(i - 1) / 2])) {
-        heap[i] = heap[(i - 1) / 2];
-        slot[heap[i].rank] = i;
-        i = (i - 1) / 2;
-    }
-    heap[i] = moving;
-    slot[moving.rank] = i;
 }
 
 int lfu_flags(const int64_t *ranks, int64_t total, int64_t n_ranks,
               int64_t capacity, uint8_t *flags)
 {
     int64_t *count = calloc(n_ranks, sizeof *count);
-    int64_t *slot = malloc(n_ranks * sizeof *slot);
+    uint8_t *member = calloc(n_ranks, 1);
     entry *heap = malloc(capacity * sizeof *heap);
-    int64_t size = 0;
-    if (!count || !slot || !heap) {
-        free(count), free(slot), free(heap);
+    int64_t size = 0, pending = -1, admitted = -1;  /* -1: an empty cache */
+    if (!count || !member || !heap) {
+        free(count), free(member), free(heap);
         return -1;
     }
-    for (int64_t r = 0; r < n_ranks; r++)
-        slot[r] = -1;
     int status = 0;
     for (int64_t i = 0; i < total; i++) {
-        int64_t rank = ranks[i], at;
+        int64_t rank = ranks[i];
         if ((uint64_t)rank >= (uint64_t)n_ranks) {
             status = 1;
             break;
         }
-        at = slot[rank];
         count[rank]++;
-        flags[i] = at >= 0;
-        if (at >= 0) {
-            heap[at].count++;
-            sift_down(heap, size, at, slot);
-        } else if (size < capacity) {
-            heap[size] = (entry){count[rank], i, rank};
-            sift_up(heap, size++, slot);
-        } else {
-            slot[heap[0].rank] = -1;
-            heap[0] = (entry){count[rank], i, rank};
-            sift_down(heap, size, 0, slot);
-        }
+        flags[i] = member[rank] || rank == pending;
+        if (flags[i])
+            continue;
+        if (pending >= 0 && size + 1 < capacity) {  /* room: pending joins S */
+            heap[size++] = (entry){count[pending], admitted, pending};
+            member[pending] = 1;
+            if (size == capacity - 1)   /* S is full: order it once */
+                for (int64_t j = size / 2 - 1; j >= 0; j--)
+                    sift_down(heap, size, j);
+        } else      /* full, or empty: size first, so count[-1] is unread */
+            while (size && count[pending] >= heap[0].count) {
+                int64_t top = heap[0].rank;
+                if (heap[0].count == count[top]) {  /* current: it goes */
+                    member[top] = 0;
+                    member[pending] = 1;
+                    heap[0] = (entry){count[pending], admitted, pending};
+                    sift_down(heap, size, 0);
+                    break;
+                }
+                heap[0].count = count[top];         /* lagging: refresh */
+                sift_down(heap, size, 0);
+            }
+        pending = rank;
+        admitted = i;
     }
-    free(count), free(slot), free(heap);
+    free(count), free(member), free(heap);
     return status;
 }
 
@@ -146,14 +151,14 @@ int lru_flags(const int64_t *ranks, int64_t total, int64_t n_ranks,
 }
 
 /* The tally of one replay's flags: adds each flag to hits[rank], of
- * n_bins zeroed slots. Returns 0, or -1 at the first rank outside
+ * n_bins zeroed slots. Returns 0, or 1 at the first rank outside
  * [0, n_bins), before it is written. */
 int tally(const int64_t *ranks, int64_t total, const uint8_t *flags,
           int64_t n_bins, int64_t *hits)
 {
     for (int64_t i = 0; i < total; i++) {
         if ((uint64_t)ranks[i] >= (uint64_t)n_bins)
-            return -1;
+            return 1;
         hits[ranks[i]] += flags[i];
     }
     return 0;

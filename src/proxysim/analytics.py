@@ -56,11 +56,19 @@ class BandwidthParams:
                 f"got {self.rate_convention!r}")
 
 
-def per_rank_rate(sizes, channel_times, rate_convention: str):
-    """Per-rank rate ``b_i``: ``s_i * t_i`` for ``"product"``, else
-    ``s_i / t_i``. Works on scalars and arrays alike."""
-    return (sizes * channel_times if rate_convention == "product"
-            else sizes / channel_times)
+def per_rank_rate(attributes: ObjectAttributes, n_objects: int,
+                  rate_convention: str) -> np.ndarray:
+    """Per-rank rate ``b_i`` of ranks ``1..n_objects``: ``s_i * t_i`` for
+    ``"product"``, else ``s_i / t_i``. The one coverage rule of an
+    attribute table: both arrays need ``n_objects`` entries or more, and
+    the first ``n_objects`` are read; a shorter table is a ``ValueError``."""
+    sizes = attributes.sizes[:n_objects]
+    times = attributes.channel_times[:n_objects]
+    covered = min(sizes.size, times.size)
+    if covered < n_objects:
+        raise ValueError(f"the attribute table has {covered} entries for "
+                         f"{n_objects} objects")
+    return sizes * times if rate_convention == "product" else sizes / times
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,7 @@ def model_report(catalog: ZipfCatalog, attributes: ObjectAttributes,
     ----------
     catalog : ZipfCatalog
     attributes : ObjectAttributes
-        Must cover the catalog's ranks.
+        Must cover the catalog's ranks, by :func:`per_rank_rate`'s rule.
     params : BandwidthParams
     r_requests : int
         Request-stream length the miss probabilities refer to.
@@ -173,10 +181,8 @@ def model_report(catalog: ZipfCatalog, attributes: ObjectAttributes,
     """
     n = catalog.n_objects
     mass = top_c_mass(catalog, params.cache_capacity)
-    # [:n]: an attribute table longer than the catalog still gives N rows
     per_rank_bandwidth = params.k * mass * per_rank_rate(
-        attributes.sizes[:n], attributes.channel_times[:n],
-        params.rate_convention)
+        attributes, n, params.rate_convention)
     per_rank_miss = _miss_term(catalog, r_requests, slice(n))
     return ModelReport(
         per_rank_miss=per_rank_miss,

@@ -12,14 +12,15 @@ baseline.
 
 :func:`replay` is the one entry point: it yields the hit flags of a
 fresh cache at each of several capacities, from one plain loop over the
-requests per capacity in ``_replay.c``. LFU keeps the residents in a
-binary min-heap on ``(count, insertion position)``, with a heap slot per
-rank; LRU keeps them in a doubly linked list over ranks. The same C
-file reduces each array of flags: :func:`tally` counts the hits per rank
-in one pass, with no per-request temporary. The C file is compiled on
-first use into the user's cache directory and loaded through
-``ctypes``. Where it cannot be built, the same replay runs in
-Python, with the C functions' arguments: ``_lfu_python`` for LFU and
+requests per capacity in ``_replay.c``. LFU keeps its newest admission
+in a pending slot and the other residents in a min-heap on ``(count,
+insertion position)`` whose counts may lag, on both paths; LRU keeps
+them in a doubly linked list over ranks. The same C file reduces each
+array of flags: :func:`tally` counts the hits per rank in one pass, with
+no per-request temporary. The C file is compiled on first use into the
+user's cache directory and loaded through ``ctypes``. Where it cannot
+be built, the same replay runs in Python, with the C functions'
+arguments: ``_lfu_python`` for LFU and
 ``_lru_python``, an ``OrderedDict``, for LRU; ``np.bincount`` tallies
 the flags.
 """
@@ -168,18 +169,10 @@ def _lfu_python(ranks: np.ndarray, n_ranks: int, capacity: int,
     """Writes the LFU hit flags of ``ranks`` into ``flags``, the C
     ``lfu_flags`` in Python, a window of ``_WINDOW`` ranks at a time;
     returns its status, 0, or 1 at a window with a rank outside
-    ``0..n_ranks - 1``, before the window is replayed.
-
-    The newest admission waits in a pending slot; the other residents,
-    the set S, are marked in ``member`` and sit in a heap of ``(count,
-    insertion position, rank)`` entries whose stored count may lag the
-    rank's count but never exceeds it, so ``heap[0][0]`` is a lower
-    bound on every count in S. A count tie evicts the older entry, so on
-    a miss on a full cache the pending entry goes, without a heap
-    operation, when its count is below that bound. Otherwise lagging
-    tops are refreshed until the top is current or above the pending
-    count; a current top that this count reaches is the victim, and the
-    pending entry takes its place with one ``heapreplace``.
+    ``0..n_ranks - 1``, before the window is replayed. The comment on
+    ``lfu_flags`` in ``_replay.c`` describes the algorithm, a pending
+    slot and a heap whose counts may lag; here ``heappush`` orders the
+    heap as it fills.
     """
     count, member, heap = [0] * n_ranks, [False] * n_ranks, []
     pending = admitted = -1             # -1: the cache is empty

@@ -125,13 +125,15 @@ def simulate_workload(workload: Workload, attrs: ObjectAttributes,
     ``session_size``, the ``policy``, ``k``, ``rate_convention`` and the
     report's ``cache_capacity``. This is the building block behind
     :func:`run_simulation` and :func:`sweep`, also used when a workload
-    comes from a trace file instead of a seed.
+    comes from a trace file instead of a seed. An attribute table that
+    does not cover the workload's objects by the rule of
+    :func:`~proxysim.analytics.per_rank_rate` is a ``ValueError``.
     """
     capacities = tuple(capacities)      # an iterator is walked only once
     for capacity in capacities:
         BandwidthParams(k, capacity, rate_convention)
     requests = rank_histogram(workload)
-    rate = per_rank_rate(attrs.sizes, attrs.channel_times, rate_convention)
+    rate = per_rank_rate(attrs, workload.n_objects, rate_convention)
     total = workload.total_requests
     echo = {**config_echo, "n_objects": workload.n_objects,
             "total_requests": total, "session_size": workload.session_size,
@@ -254,13 +256,14 @@ def compare_run(reports: list[SimReport], catalog: ZipfCatalog,
     imported bandwidth next to the model's aggregate per rate convention,
     all read from :func:`~proxysim.analytics.model_report` over the
     given catalog and attribute table, the draws that made the reports:
-    a catalog of another size, or a shorter table, is a ``ValueError``.
+    a catalog of another size, or a table shorter than the catalog, is a
+    ``ValueError``.
     """
     rows = []
     for report in reports:
         echo = report.config
-        if not catalog.n_objects == report.requests.size <= attrs.sizes.size:
-            raise ValueError("the draws do not cover the report's ranks")
+        if catalog.n_objects != report.requests.size:
+            raise ValueError("the catalog does not match the report's ranks")
         capacity = echo["cache_capacity"]
         model = {conv: model_report(catalog, attrs,
                                     BandwidthParams(echo["k"], capacity, conv),

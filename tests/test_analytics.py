@@ -324,6 +324,5 @@ def test_scalar_functions_equal_model_report_exactly(k, rate_convention):
                 cat, rank, r_requests)
             # the bandwidth model has no scalar twin: its formula, per rank
             assert report.per_rank_bandwidth[rank - 1] == (
-                k * report.top_c_mass * per_rank_rate(
-                    attrs.sizes[rank - 1], attrs.channel_times[rank - 1],
-                    rate_convention))
+                k * report.top_c_mass
+                * per_rank_rate(attrs, n, rate_convention)[rank - 1])

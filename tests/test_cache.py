@@ -417,6 +417,18 @@ def test_lru_flags_match_stack_distance_at_every_capacity(n_objects, alpha):
     assert _replays("lru", requests, capacities) == (expected,) * 2
 
 
+@pytest.mark.parametrize("n_objects, alpha, seed", [(50, 0.98, 1),
+                                                    (200, 0.64, 2),
+                                                    (30, 0.0, 3)])
+def test_lfu_flags_match_reference_at_every_capacity(n_objects, alpha, seed):
+    # every capacity from 1 to one past the distinct ranks, so every
+    # heap size at which the kernel first orders its heap is replayed
+    ranks = generate_workload(build_catalog(n_objects, alpha), 2000, 2000,
+                              seed=seed).requests.tolist()
+    _assert_replay_matches("session_lfu", ReferenceCache, ranks,
+                           range(1, len(set(ranks)) + 2))
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint8])
 def test_lru_replay_takes_any_int_dtype(dtype):
     # the lists run unsorted and repeated, some past every rank

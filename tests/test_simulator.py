@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from scipy import stats
 
 from proxysim import simulator
-from proxysim.analytics import top_c_mass
+from proxysim.analytics import BandwidthParams, model_report, top_c_mass
 from proxysim.popularity import build_catalog
 from proxysim.simulator import (DEFAULT_ALPHAS, SimConfig, compare_analytic,
                                 compare_run, fit_power_law, run_simulation,
@@ -248,8 +248,39 @@ def test_compare_run_rejects_catalog_of_another_size():
     for n in (50, 200):
         with pytest.raises(ValueError, match="report's ranks"):
             compare_run(reports, build_catalog(n, 0.75), longer)
-    with pytest.raises(ValueError, match="report's ranks"):
+    with pytest.raises(ValueError, match="attribute table has 50 entries"):
         compare_run(reports, catalog, assign_attributes(50, seed=2))
+
+
+_FOUR = Workload(np.array([1, 2, 3, 3, 2, 1, 4, 4]), 2, 4)
+
+
+@pytest.mark.parametrize("sizes, times", [(1, 1), (3, 3), (4, 3), (3, 6)])
+def test_attribute_table_short_of_the_objects_is_refused(sizes, times):
+    # one coverage rule in both halves: the replay and the model each
+    # refuse a table that misses an object, rather than broadcast a
+    # one-entry table to every rank or sum a shorter one
+    table = assign_attributes(6, seed=0)
+    attrs = ObjectAttributes(table.sizes[:sizes], table.channel_times[:times])
+    for policy in ("lru", "session_lfu"):
+        with pytest.raises(ValueError, match="table has [13] entries for 4"):
+            simulate_workload(_FOUR, attrs, [2], policy, 1.0, "product", {})
+    with pytest.raises(ValueError, match="table has [13] entries for 4"):
+        model_report(build_catalog(4, 0.75), attrs,
+                     BandwidthParams(1.0, 2), 8)
+
+
+@pytest.mark.parametrize("policy", ["lru", "session_lfu"])
+def test_attribute_table_longer_than_the_objects_reads_its_first(policy):
+    longer = assign_attributes(6, seed=0)
+    exact = ObjectAttributes(longer.sizes[:4], longer.channel_times[:4])
+    got, want = (simulate_workload(_FOUR, attrs, [2, 3], policy, 0.5,
+                                   "ratio", {})
+                 for attrs in (longer, exact))
+    for a, b in zip(got, want, strict=True):
+        assert a.imported_bandwidth.tolist() == b.imported_bandwidth.tolist()
+        assert a.hits.tolist() == b.hits.tolist()
+        assert (a.total_bandwidth, a.config) == (b.total_bandwidth, b.config)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered",

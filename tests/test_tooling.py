@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import types
@@ -61,6 +62,17 @@ def test_cli_import_builds_no_replay_kernel(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_replay_kernel_compiles_without_warnings():
+    # the loader captures the compiler's output and falls back to Python
+    # on a failed build, so a warning would show nowhere else
+    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only",
+                           str(ROOT / "src" / "proxysim" / "_replay.c")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_exports_match_all():
