@@ -1,10 +1,12 @@
-/* Hit flags of a fresh cache replaying a request stream, one function
- * per policy, and the tally of those flags. Ranks should be ints in
- * [0, n_ranks) and 1 <= capacity <= n_ranks; each replay writes one flag
- * per request, 1 for a hit. Every function returns 0 on success, -1
- * when it cannot allocate its arrays over ranks, or 1 at the first rank
- * outside its range, before it reads or writes any array at that rank:
- * the ranks may have changed since they were last checked.
+/* The compiled loops of the request path. Hit flags of a fresh cache
+ * replaying a request stream, one function per policy, and the tally of
+ * those flags: ranks should be ints in [0, n_ranks) and 1 <= capacity
+ * <= n_ranks; each replay writes one flag per request, 1 for a hit.
+ * These return 0 on success, -1 when they cannot allocate their arrays
+ * over ranks, or 1 at the first rank outside its range, before they read
+ * or write any array at that rank: the ranks may have changed since
+ * they were last checked. Then the draw of ranks from a CDF, and the
+ * writer and reader of a trace's rank lines.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -162,4 +164,96 @@ int tally(const int64_t *ranks, int64_t total, const uint8_t *flags,
         hits[ranks[i]] += flags[i];
     }
     return 0;
+}
+
+/* Inverse-CDF draws: out[i] is 1 plus the number a of the cdf entries,
+ * non-decreasing and ending at 1, that are <= u[i], a uniform in
+ * [0, 1). edges[k] counts the entries <= k / buckets, so for k = u[i] *
+ * buckets, a lies in [lo, hi] = [edges[k], edges[k + 1]], and lo < the
+ * number of entries. The bisection keeps that; once hi <= lo + 1, a is
+ * lo or lo + 1, and most buckets start there. */
+void draw(const double *u, int64_t total, const double *cdf,
+          const int64_t *edges, int64_t buckets, int64_t *out)
+{
+    for (int64_t i = 0; i < total; i++) {
+        int64_t k = (int64_t)(u[i] * buckets);
+        int64_t lo = edges[k], hi = edges[k + 1];
+        while (hi - lo > 1) {
+            int64_t mid = lo + (hi - lo) / 2;
+            if (cdf[mid] <= u[i])
+                lo = mid;
+            else
+                hi = mid;
+        }
+        out[i] = lo + (cdf[lo] <= u[i]) + 1;
+    }
+}
+
+/* Writes the decimal digits of each rank and a \n into out, at most 20
+ * bytes for a rank >= 0 and 21 for any other; returns the number of
+ * bytes written. */
+int64_t write_ranks(const int64_t *ranks, int64_t total, uint8_t *out)
+{
+    uint8_t *at = out;
+    for (int64_t i = 0; i < total; i++) {
+        uint8_t digits[20];
+        int n = 0;
+        uint64_t value = (uint64_t)ranks[i];
+        do
+            digits[n++] = (uint8_t)('0' + value % 10);
+        while (value /= 10);
+        while (n)
+            *at++ = digits[--n];
+        *at++ = '\n';
+    }
+    return at - out;
+}
+
+/* The whitespace a trace line may hold around its rank. */
+static int is_space(uint8_t byte)
+{
+    return byte == ' ' || (byte >= '\t' && byte <= '\r' && byte != '\n')
+           || (byte >= 0x1c && byte <= 0x1f);
+}
+
+/* Reads the rank lines of a trace body of size bytes: only \n ends a
+ * line, and the body's end ends the last one. Each line is blank or one
+ * run of ASCII digits, a rank in [1, n_objects], with whitespace around
+ * it. Writes each rank into ranks, which holds one per line, and returns
+ * their number; *bad is -1, or the index from 0 of the first line that
+ * breaks this, where the reading stops. A run too long for int64 reads
+ * as INT64_MAX, above every n_objects. */
+int64_t read_ranks(const uint8_t *body, int64_t size, int64_t n_objects,
+                   int64_t *ranks, int64_t *bad)
+{
+    const uint8_t *at = body, *end = body + size;
+    int64_t count = 0;
+    for (int64_t line = 0;; line++) {
+        int64_t value = 0;
+        int digits = 0;
+        while (at < end && is_space(*at))
+            at++;
+        for (; at < end && (unsigned)(*at - '0') < 10; at++, digits = 1) {
+            int digit = *at - '0';
+            if (value < (INT64_MAX - 9) / 10)
+                value = value * 10 + digit;
+            else
+                value = value > (INT64_MAX - digit) / 10 ? INT64_MAX
+                                                         : value * 10 + digit;
+        }
+        while (at < end && is_space(*at))
+            at++;
+        if ((at < end && *at != '\n')
+            || (digits && (value < 1 || value > n_objects))) {
+            *bad = line;
+            return count;
+        }
+        if (digits)
+            ranks[count++] = value;
+        if (at == end) {
+            *bad = -1;
+            return count;
+        }
+        at++;
+    }
 }

@@ -17,18 +17,19 @@ in a pending slot and the other residents in a min-heap on ``(count,
 insertion position)`` whose counts may lag, on both paths; LRU keeps
 them in a doubly linked list over ranks. The same C file reduces each
 array of flags: :func:`tally` counts the hits per rank in one pass, with
-no per-request temporary. The C file is compiled on first use into the
-user's cache directory and loaded through ``ctypes``. Where it cannot
-be built, the same replay runs in Python, with the C functions'
-arguments: ``_lfu_python`` for LFU and
-``_lru_python``, an ``OrderedDict``, for LRU; ``np.bincount`` tallies
-the flags.
+no per-request temporary; it also draws ranks and writes and reads the
+rank lines of traces. It is compiled on first use into the user's cache
+directory and loaded through ``ctypes``. Where it cannot be built, the
+same replay runs in Python, with the C functions' arguments:
+``_lfu_python`` for LFU and ``_lru_python``, an ``OrderedDict``, for
+LRU; ``np.bincount`` tallies the flags.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import warnings
 from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from heapq import heappush, heapreplace
@@ -121,47 +122,68 @@ def tally(requests: np.ndarray, flags: np.ndarray, n_bins: int) -> np.ndarray:
 
 @functools.cache
 def _kernel():
-    """The compiled replay and tally functions of ``_replay.c``, built on
-    first use into ``$XDG_CACHE_HOME/proxysim`` (else
-    ``~/.cache/proxysim``) as a library named by a hash of the source;
-    None where the source cannot be read, there is no compiler, or the
-    build or load fails. A build writes a temp file and renames it, so
-    processes that build at once each load whole bytes."""
+    """The compiled functions of ``_replay.c``, built on first use into
+    ``$XDG_CACHE_HOME/proxysim`` (else ``~/.cache/proxysim``) as a
+    library named by a hash of the source. None, with one
+    ``RuntimeWarning`` naming the step that failed, where the source
+    cannot be read, the build fails or the library does not load."""
     import ctypes
     import hashlib
-    import subprocess
-    import tempfile
 
     directory = os.path.join(os.environ.get("XDG_CACHE_HOME")
                              or os.path.expanduser("~/.cache"), "proxysim")
     try:
         with open(_SOURCE, "rb") as f:
             digest = hashlib.sha256(f.read()).hexdigest()[:16]
-        library = os.path.join(directory, f"replay-{digest}.so")
-        if not os.path.exists(library):
-            os.makedirs(directory, exist_ok=True)
-            fd, temp = tempfile.mkstemp(suffix=".so", dir=directory)
-            os.close(fd)
-            try:
-                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", temp,
-                                _SOURCE], check=True, capture_output=True)
-                os.replace(temp, library)
-            finally:
-                if os.path.exists(temp):
-                    os.unlink(temp)
+    except OSError:
+        return _no_kernel(f"cannot read {_SOURCE}")
+    library = os.path.join(directory, f"replay-{digest}.so")
+    if not (os.path.exists(library) or _build(directory, library)):
+        return _no_kernel(f"cannot build {library} with cc")
+    try:
         kernel = ctypes.CDLL(library)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    for function in (kernel.lfu_flags, kernel.lru_flags):
-        # ranks, their number, the number of ranks, capacity, flags
-        function.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                             ctypes.c_int64, ctypes.c_void_p]
-        function.restype = ctypes.c_int
-    # ranks, their number, flags, bins, hits
-    kernel.tally.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                             ctypes.c_int64, ctypes.c_void_p]
-    kernel.tally.restype = ctypes.c_int
+    except OSError:
+        return _no_kernel(f"cannot load {library}")
+    p, n = ctypes.c_void_p, ctypes.c_int64
+    for function, restype, argtypes in (   # as declared in _replay.c
+            (kernel.lfu_flags, ctypes.c_int, [p, n, n, n, p]),
+            (kernel.lru_flags, ctypes.c_int, [p, n, n, n, p]),
+            (kernel.tally, ctypes.c_int, [p, n, p, n, p]),
+            (kernel.draw, None, [p, n, p, p, n, p]),
+            (kernel.write_ranks, n, [p, n, p]),
+            (kernel.read_ranks, n, [ctypes.c_char_p, n, n, p, p])):
+        function.restype, function.argtypes = restype, argtypes
     return kernel
+
+
+def _build(directory: str, library: str) -> bool:
+    """Compiles ``_replay.c`` into ``library``; whether that succeeded. A
+    build writes a temp file and renames it, so processes that build at
+    once each load whole bytes."""
+    import subprocess
+    import tempfile
+
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, temp = tempfile.mkstemp(suffix=".so", dir=directory)
+        os.close(fd)
+        try:
+            subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", temp,
+                            _SOURCE], check=True, capture_output=True)
+            os.replace(temp, library)
+        finally:
+            if os.path.exists(temp):
+                os.unlink(temp)
+    except (OSError, subprocess.CalledProcessError):
+        return False
+    return True
+
+
+def _no_kernel(reason: str) -> None:
+    """Warns that no kernel loads, and why; the None of :func:`_kernel`."""
+    warnings.warn(f"proxysim: no compiled kernel ({reason}); replay, "
+                  "draws and trace files run in Python, 10 to 90 times "
+                  "slower", RuntimeWarning)
 
 
 def _lfu_python(ranks: np.ndarray, n_ranks: int, capacity: int,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _DRAW_CHUNK = 1 << 16      # uniforms drawn and located per step
-_GUIDE_BITS_MAX = 20       # at most 2**20 guide buckets (4 MiB of int32)
+_GUIDE_BITS_MAX = 20       # at most 2**20 + 1 bucket edges (8 MiB of int64)
 _SUM_TOLERANCE = 2.0 ** -26  # sqrt(float64 eps), as numpy's weighted choice
 
 
@@ -126,12 +126,13 @@ def sample_ranks(
     The ranks, and the generator state after the call, are those of
     ``rng.choice(catalog.n_objects, size, p=catalog.probabilities) + 1``:
     the same CDF (``cumsum`` divided by its last entry) and the same
-    ``searchsorted(..., "right")`` answer. A guide table (Chen & Asau
-    1974) locates each uniform: bucket ``k`` of ``2**b`` equal slices of
-    ``[0, 1)`` holds the first CDF index its uniforms can map to, so a
-    bucket crossed by at most one CDF point needs one comparison; only
-    crowded buckets search the CDF. Uniforms are drawn and located in
-    chunks of ``_DRAW_CHUNK``, which bounds the temporaries.
+    ``searchsorted(..., "right")`` answer. The compiled ``draw`` of
+    ``_replay.c`` locates each uniform through a guide table (Chen & Asau
+    1974): ``edges[k]`` counts the CDF points up to bucket ``k`` of
+    ``2**b`` equal slices of ``[0, 1)``, so it bisects only the points in
+    a uniform's bucket; where no kernel loads, ``searchsorted`` does.
+    Uniforms are drawn and located in chunks of ``_DRAW_CHUNK``, which
+    bounds the temporaries.
 
     Raises
     ------
@@ -139,6 +140,8 @@ def sample_ranks(
         As ``rng.choice`` did, unless the probabilities are ``n_objects``
         non-negative values summing to 1 within ``sqrt(eps)``.
     """
+    from .cache import _kernel   # at call time: cache imports this module
+
     size = check_count("size", size, 0)
     p = np.asarray(catalog.probabilities, dtype=np.float64)
     # p >= 0 is False for NaN; a hand-built catalog skips build_catalog
@@ -152,28 +155,22 @@ def sample_ranks(
     # small draw does not pay for a large table
     bits = min((p.size - 1).bit_length() + 2, size.bit_length(),
                _GUIDE_BITS_MAX)
-    scale = float(1 << bits)
     # edges[k] counts the CDF points <= k / 2**b, exactly: the edges are
     # dyadic, and so is u * 2**b for a uniform u in [0, 1), so the answer
     # for u in bucket k lies in edges[k]..edges[k + 1]
-    edges = cdf.searchsorted(np.arange((1 << bits) + 1) / scale, "right")
-    crowded = np.diff(edges) > 1
-    guide = edges[:-1].astype(np.int32)
+    edges = cdf.searchsorted(np.arange((1 << bits) + 1) / (1 << bits),
+                             "right").astype(np.int64, copy=False)
+    kernel = _kernel()
     out = np.empty(size, dtype=np.int64)
     u_buf = np.empty(min(size, _DRAW_CHUNK))
-    k_buf = np.empty(u_buf.size, dtype=np.intp)
     for start in range(0, size, _DRAW_CHUNK):
         stop = min(start + _DRAW_CHUNK, size)
         u = rng.random(out=u_buf[:stop - start])
-        k = k_buf[:stop - start]
-        k[...] = u * scale
-        lo = guide.take(k)
-        dst = out[start:stop]
-        np.add(lo, cdf.take(lo) <= u, out=dst)
-        busy = crowded.take(k)
-        if busy.any():
-            dst[busy] = cdf.searchsorted(u[busy], "right")
-    out += 1
+        if kernel is None:
+            out[start:stop] = cdf.searchsorted(u, "right") + 1
+        else:
+            kernel.draw(u.ctypes.data, u.size, cdf.ctypes.data,
+                        edges.ctypes.data, 1 << bits, out[start:].ctypes.data)
     return out
 
 

@@ -2,9 +2,11 @@
 
 A workload is a fixed request sequence with a nominal session size,
 plus per-object size and channel-time attributes used by the bandwidth
-accounting. Traces round-trip through a one-rank-per-line text format.
-:func:`format_rows` writes the rows of traces and of the simulator's and
-the model's CSV reports: numpy columns to the bytes of Python's ``%``.
+accounting. Traces round-trip through a one-rank-per-line text format,
+written and read by the compiled loops of ``_replay.c``, or by Python
+line loops where no kernel loads. :func:`format_rows` writes the rows of
+the simulator's and the model's CSV reports: numpy columns to the bytes
+of Python's ``%``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .popularity import ZipfCatalog, check_count, sample_ranks
 DEFAULT_SIZE_RANGE = (1.0, 15.0)   # kilobits
 DEFAULT_TIME_RANGE = (1.0, 10.0)   # milliseconds
 DEFAULT_SESSION_SIZE = 1000
-_TRACE_CHUNK = 1 << 16   # ranks per digit matrix and write in save_trace
+_TRACE_CHUNK = 1 << 16   # ranks per write in save_trace
 # the largest catalog a trace names: a rank too long for int64 reads as
 # 2**63 - 1, so it must fall outside every catalog
 _MAX_OBJECTS = 2**63 - 2
@@ -32,16 +34,8 @@ _SCALED_TOP = 2.0 ** 40   # and those this large
 # a float scaled in long double rounds as exactly as _scaled says only
 # where that type has at least 64 significant bits; else Python writes
 _WIDE = np.finfo(np.longdouble).nmant >= 63
-# the ASCII whitespace str.strip() drops
-_WS = b" \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 _HEADER_FIELDS = re.compile(rb"n_objects=(\d+) session=(\d+)")
-# the class of each body byte, a bytes.translate table; other is highest
-_SPACE, _DIGIT, _NEWLINE, _OTHER = range(4)
-_BYTE_CLASS = bytes(_SPACE if byte in _WS else
-                    _DIGIT if byte in b"0123456789" else
-                    _NEWLINE if byte == ord("\n") else _OTHER
-                    for byte in range(256))
 
 
 class TraceParseError(ValueError):
@@ -153,13 +147,23 @@ def rank_histogram(workload: Workload) -> np.ndarray:
 def save_trace(workload: Workload, path: str) -> None:
     """Write a workload as a header line plus one rank per line, a trace
     that :func:`load_trace` reads back as the same workload."""
-    requests = workload.requests
+    from .cache import _kernel   # at call time: cache imports popularity
+
+    requests, kernel = workload.requests, _kernel()
+    # every rank fits in int64: a Workload's are in 1..2**63 - 2
+    buffer = np.empty(21 * min(requests.size, _TRACE_CHUNK), dtype=np.uint8)
     with open(path, "wb") as f:
         f.write(f"#n_objects={workload.n_objects} "
                 f"session={workload.session_size}\n".encode())
         for start in range(0, requests.size, _TRACE_CHUNK):
-            f.write(format_rows("%d\n",
-                                [requests[start:start + _TRACE_CHUNK]]))
+            chunk = requests[start:start + _TRACE_CHUNK]
+            if kernel is None:
+                f.write("".join(f"{rank}\n" for rank in chunk.tolist())
+                        .encode())
+                continue
+            chunk = np.ascontiguousarray(chunk, dtype=np.int64)
+            f.write(buffer[:kernel.write_ranks(chunk.ctypes.data, chunk.size,
+                                               buffer.ctypes.data)])
 
 
 def _first_outside(requests: np.ndarray, n_objects: int) -> int | None:
@@ -338,21 +342,9 @@ def load_trace(path: str) -> Workload:
     except ValueError as exc:
         raise TraceParseError(f"{path}: line 1: {exc}") from None
 
-    tokens, bad = _scan_body(body)
-    # numpy takes \x1c-\x1f for data, and reads whitespace alone as [0]
-    end = len(body) if bad is None else _line_start(body, bad)
-    text = body[:end].translate(_SPACES)
-    requests = (np.empty(0, dtype=np.int64) if text.isspace() else
-                np.fromstring(text, dtype=np.int64, sep=" "))
-    # a rank too long for int64 is read as its maximum, so it fails here
-    k = _first_outside(requests, n_objects)
-    if k is not None:
-        # a line before the bad one holds one digit run or none, so rank k
-        # is run token k, and the \n tokens before it count its line
-        bad = int(np.flatnonzero(tokens)[k]) - k
-    if bad is not None:
-        line = body[_line_start(body, bad):].partition(b"\n")[0]
-        shown = line.decode("utf-8", "replace")
+    requests, bad = _read_ranks(body, n_objects)
+    if bad >= 0:
+        shown = body.split(b"\n", bad + 1)[bad].decode("utf-8", "replace")
         raise TraceParseError(f"{path}: line {bad + 2}: not a rank in "
                               f"1..{n_objects}: {shown!r}")
     try:
@@ -362,37 +354,31 @@ def load_trace(path: str) -> Workload:
         raise TraceParseError(f"{path}: {exc}") from None
 
 
-def _scan_body(body: bytes) -> tuple[np.ndarray, int | None]:
-    r"""Check a trace body's lines against :func:`load_trace`'s grammar.
+def _read_ranks(body: bytes, n_objects: int) -> tuple[np.ndarray, int]:
+    r"""The ranks of a trace body's lines, as :func:`load_trace` reads
+    them, and the index from 0 of the first line that breaks its grammar,
+    or -1. The compiled ``read_ranks`` reads the body in place; where no
+    kernel loads, a Python loop reads each line."""
+    from .cache import _kernel   # at call time: cache imports popularity
 
-    Returns the body's digit runs and ``\n`` bytes in order, as True for
-    a run and False for a ``\n``, and the index from 0 of the first line
-    that holds a byte of class other or two digit runs, or None.
-    """
-    cls = np.frombuffer(body.translate(_BYTE_CLASS), dtype=np.uint8)
-    bad = []
-    if cls.max(initial=_SPACE) == _OTHER:
-        bad.append(body.count(b"\n", 0, int(cls.argmax())))
-    # a digit after a byte that is not one starts a run
-    digit = cls == _DIGIT
-    run = np.empty_like(digit)
-    run[:1] = digit[:1]
-    np.greater(digit[1:], digit[:-1], out=run[1:])
-    # at most three body-sized arrays at once: the \n mask reuses digit's
-    token = np.equal(cls, _NEWLINE, out=digit)
-    del cls
-    token |= run
-    tokens = run[token]
-    twice = tokens[1:] & tokens[:-1]   # two runs with no \n between
-    if twice.any():
-        j = int(twice.argmax()) + 1
-        bad.append(j - int(np.count_nonzero(tokens[:j])))
-    return tokens, min(bad, default=None)
-
-
-def _line_start(body: bytes, index: int) -> int:
-    """The offset of line ``index``, from 0, in ``body``."""
-    if not index:
-        return 0
-    newlines = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
-    return int(newlines[index - 1]) + 1
+    kernel = _kernel()
+    if kernel is not None:
+        # a rank per line at most; numpy counts \n 10x faster than .count
+        lines = np.count_nonzero(np.frombuffer(body, dtype=np.uint8) == 10)
+        ranks = np.empty(lines + 1, dtype=np.int64)
+        bad = np.empty(1, dtype=np.int64)
+        count = kernel.read_ranks(body, len(body), n_objects,
+                                  ranks.ctypes.data, bad.ctypes.data)
+        return ranks[:count], int(bad[0])
+    ranks = []
+    for line, text in enumerate(body.translate(_SPACES).split(b"\n")):
+        digits = text.strip()
+        if not digits:
+            continue
+        # int() refuses over 4300 digits, so leading zeros go first
+        value = digits.lstrip(b"0")
+        if not (value.isdigit() and len(value) < 20
+                and int(value) <= n_objects):
+            return np.array(ranks, dtype=np.int64), line
+        ranks.append(int(value))
+    return np.array(ranks, dtype=np.int64), -1

@@ -484,7 +484,8 @@ def test_replay_falls_back_when_the_source_is_missing(monkeypatch,
     monkeypatch.setattr(cache_module, "_SOURCE", str(tmp_path / "gone.c"))
     cache_module._kernel.cache_clear()
     try:
-        assert cache_module._kernel() is None
+        with pytest.warns(RuntimeWarning, match="cannot read .*gone.c"):
+            assert cache_module._kernel() is None
         assert [f.tolist() for f in replay("session_lfu", ranks, [2])] == [
             [False, False, False, True, False]]
     finally:

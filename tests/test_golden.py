@@ -5,9 +5,10 @@ A digest covers the sorted relative paths and bytes of every file in the
 command's own output directory, then its stdout with that directory
 replaced by a fixed token. A change to any output byte shows up here as
 a changed digest; a deliberate one is a contract change. The LFU
-commands and the LRU trace replay are run a second time with no replay
-kernel, on the Python loops and numpy tally that run where it cannot
-be built, to the same digests.
+commands, the LRU trace replay and ``gen`` are run a second time with no
+kernel, on the Python and numpy fallbacks of the replay, tally, draw and
+trace writer and reader that run where it cannot be built, to the same
+digests.
 """
 
 import hashlib
@@ -99,7 +100,10 @@ def no_kernel(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
     cache._kernel.cache_clear()
-    assert cache._kernel() is None
+    with pytest.warns(RuntimeWarning, match="^proxysim: no compiled kernel "
+                      r"\(cannot build .* with cc\); replay, draws and "
+                      "trace files run in Python"):
+        assert cache._kernel() is None
     yield
     cache._kernel.cache_clear()
 
@@ -115,3 +119,9 @@ def test_lru_trace_bytes_match_golden_digest_without_kernel(
         tmp_path, trace, capsys, monkeypatch, no_kernel):
     test_command_bytes_match_golden_digest("trace_lru", tmp_path, trace,
                                            capsys, monkeypatch)
+
+
+def test_gen_bytes_match_golden_digest_without_kernel(
+        tmp_path, trace, capsys, monkeypatch, no_kernel):
+    test_command_bytes_match_golden_digest("gen", tmp_path, trace, capsys,
+                                           monkeypatch)

@@ -191,8 +191,12 @@ def test_sample_ranks_match_inverse_cdf_reference():
                 assert np.array_equal(drawn, want), (n, alpha, seed)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 10 ** 4, 10 ** 5])
-@pytest.mark.parametrize("alpha", [0.0, 0.31, 0.64, 0.98, 2.5, 50.0])
+_CHOICE_NS = [1, 2, 3, 10, 10 ** 4, 10 ** 5]
+_CHOICE_ALPHAS = [0.0, 0.31, 0.64, 0.98, 2.5, 50.0]
+
+
+@pytest.mark.parametrize("n", _CHOICE_NS)
+@pytest.mark.parametrize("alpha", _CHOICE_ALPHAS)
 def test_sample_ranks_match_numpy_weighted_choice(n, alpha):
     # bit for bit the ranks of rng.choice, which sample_ranks replaced,
     # over sizes around the draw chunk, leaving the stream where it does
@@ -203,6 +207,24 @@ def test_sample_ranks_match_numpy_weighted_choice(n, alpha):
         want = numpys.choice(n, size, p=cat.probabilities) + 1
         assert drawn.dtype == want.dtype and np.array_equal(drawn, want), size
         assert ours.random() == numpys.random(), size
+
+
+# where no kernel loads, searchsorted locates the uniforms: the same
+# references hold on that path
+
+
+def test_sample_ranks_match_inverse_cdf_reference_without_kernel(
+        monkeypatch):
+    monkeypatch.setattr(cache, "_kernel", lambda: None)
+    test_sample_ranks_match_inverse_cdf_reference()
+
+
+@pytest.mark.parametrize("n", _CHOICE_NS)
+@pytest.mark.parametrize("alpha", _CHOICE_ALPHAS)
+def test_sample_ranks_match_numpy_weighted_choice_without_kernel(
+        n, alpha, monkeypatch):
+    monkeypatch.setattr(cache, "_kernel", lambda: None)
+    test_sample_ranks_match_numpy_weighted_choice(n, alpha)
 
 
 def test_sample_ranks_rejects_bad_catalogs():

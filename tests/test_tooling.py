@@ -65,14 +65,31 @@ def test_cli_import_builds_no_replay_kernel(tmp_path):
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_replay_kernel_compiles_without_warnings():
+def test_replay_kernel_compiles_without_warnings(tmp_path):
     # the loader captures the compiler's output and falls back to Python
-    # on a failed build, so a warning would show nowhere else
-    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror",
-                           "-fsyntax-only",
+    # on a failed build, so a warning would show nowhere else; -O2, as the
+    # loader builds, runs the passes that warnings such as
+    # -Wmaybe-uninitialized need
+    proc = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-c",
+                           "-o", str(tmp_path / "k.o"),
                            str(ROOT / "src" / "proxysim" / "_replay.c")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_built_kernel_loads_without_subprocess(tmp_path):
+    # only a build runs the compiler, so a process that finds the library
+    # in its cache folder does not pay to import subprocess
+    probe = ("import sys, proxysim.cache as c; "
+             "print(c._kernel() is not None, 'subprocess' in sys.modules)")
+    env = dict(_src_env(), XDG_CACHE_HOME=str(tmp_path))
+    outputs = [subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True)
+               for _ in range(2)]
+    assert [proc.returncode for proc in outputs] == [0, 0], outputs
+    assert outputs[0].stdout.split() == ["True", "True"]    # built it
+    assert outputs[1].stdout.split() == ["True", "False"]   # loaded it
 
 
 def test_package_exports_match_all():

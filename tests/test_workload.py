@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from proxysim import cache
 from proxysim import workload as workload_module
 from proxysim.popularity import build_catalog
 from proxysim.workload import (_TRACE_CHUNK, TraceParseError, Workload,
@@ -302,6 +303,46 @@ def test_load_trace_agrees_with_reference_line_loop(trace_path, n_objects,
         assert load_trace(str(trace_path)).requests.tolist() == want
 
 
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """The Python loops that run where no kernel loads."""
+    monkeypatch.setattr(cache, "_kernel", lambda: None)
+
+
+def test_load_trace_agrees_with_reference_line_loop_without_kernel(
+        trace_path, no_kernel):
+    test_load_trace_agrees_with_reference_line_loop(trace_path)
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("body, n_objects, want", [
+    # a valid rank of 20 digits, and leading zeros int() alone refuses
+    (b"09223372036854775806\n", 2**63 - 2, [2**63 - 2]),
+    (b"0" * 5000 + b"5\n", 9, [5]),
+    # a run too long for int64 fails on its own line, as does a NUL
+    (b"1\n" + b"5" * 5000 + b"\n2\n", 2**63 - 2, 3),
+    (b"1\n2\x00\n3\n", 9, 3),
+    (b"\x001\n", 9, 2),
+    # the end of the body ends the last line
+    (b"1\n\n 2", 9, [1, 2]),
+    (b"\n \n\t\r\n\x1c", 9, "no requests in trace"),
+], ids=["twenty-digits", "leading-zeros", "long-run", "nul", "nul-first",
+        "no-last-newline", "blank-lines"])
+def test_load_trace_edge_bodies(trace_path, monkeypatch, kernel, body,
+                                n_objects, want):
+    if not kernel:
+        monkeypatch.setattr(cache, "_kernel", lambda: None)
+    trace_path.write_bytes(b"#n_objects=%d session=2\n" % n_objects + body)
+    if isinstance(want, list):
+        assert load_trace(str(trace_path)).requests.tolist() == want
+        return
+    if isinstance(want, int):   # the number of the line that fails
+        shown = body.split(b"\n")[want - 2].decode()
+        want = f"line {want}: not a rank in 1..{n_objects}: {shown!r}"
+    with pytest.raises(TraceParseError, match=re.escape(want) + "$"):
+        load_trace(str(trace_path))
+
+
 _BIG = 2**63 - 1   # one past the largest catalog a trace names
 _BAD_FIELDS = {"n_objects": [0, -1, _BIG, np.uint64(_BIG), np.int64(0),
                              True, False, 3.0],
@@ -360,6 +401,10 @@ def test_trace_save_load_round_trip(trace_path, fields):
     assert (back.session_size, back.n_objects) == (session_size, n_objects)
 
 
+def test_trace_save_load_round_trip_without_kernel(trace_path, no_kernel):
+    test_trace_save_load_round_trip(trace_path)
+
+
 def _reference_save(workload: Workload, path) -> None:
     """The writer save_trace once ran: str() of each rank, a chunk of
     tolist() ranks per write."""
@@ -401,6 +446,11 @@ def test_save_trace_writes_reference_bytes(tmp_path_factory, size, tops,
     _reference_save(workload, folder / "old.trace")
     assert ((folder / "new.trace").read_bytes()
             == (folder / "old.trace").read_bytes())
+
+
+def test_save_trace_writes_reference_bytes_without_kernel(tmp_path_factory,
+                                                          no_kernel):
+    test_save_trace_writes_reference_bytes(tmp_path_factory)
 
 
 @settings(max_examples=200, deadline=None)
